@@ -244,6 +244,7 @@ public:
 
 private:
   friend class Analysis;
+  friend class KernelRegistry;
   friend class ParallelAnalysis;
   std::vector<std::string> Divergences;
   std::vector<double> NodeSignificance;

@@ -33,11 +33,24 @@ AnalysisResult
 KernelRegistry::analyse(const std::string &Name,
                         const std::vector<Interval> &CustomBox,
                         const AnalysisOptions &Options) const {
+  // Unknown names and wrong-arity boxes arrive from callers (CLIs,
+  // tests), so they yield an explicitly invalid result, as analyse()
+  // without outputs does.
+  auto Invalid = [](std::string Why) {
+    AnalysisResult R;
+    R.Divergences.push_back("error: " + std::move(Why));
+    return R;
+  };
   const KernelDescriptor *K = find(Name);
-  assert(K && "unknown kernel");
+  SCORPIO_REQUIRE(K, diag::ErrC::InvalidArgument,
+                  "KernelRegistry::analyse: unknown kernel name",
+                  Invalid("unknown kernel '" + Name + "'"));
   const std::vector<Interval> &Box =
       CustomBox.empty() ? K->DefaultRanges : CustomBox;
-  assert(Box.size() == K->InputNames.size() && "box arity mismatch");
+  SCORPIO_REQUIRE(Box.size() == K->InputNames.size(),
+                  diag::ErrC::SizeMismatch,
+                  "KernelRegistry::analyse: box arity mismatch",
+                  Invalid("box arity mismatch for kernel '" + Name + "'"));
   Analysis A;
   K->Analyse(A, Box);
   return A.analyse(Options);
@@ -48,9 +61,13 @@ KernelRegistry::monteCarlo(const std::string &Name,
                            const std::vector<Interval> &CustomBox,
                            const MonteCarloOptions &Options) const {
   const KernelDescriptor *K = find(Name);
-  assert(K && "unknown kernel");
+  SCORPIO_REQUIRE(K, diag::ErrC::InvalidArgument,
+                  "KernelRegistry::monteCarlo: unknown kernel name", {});
   const std::vector<Interval> &Box =
       CustomBox.empty() ? K->DefaultRanges : CustomBox;
+  SCORPIO_REQUIRE(Box.size() == K->InputNames.size(),
+                  diag::ErrC::SizeMismatch,
+                  "KernelRegistry::monteCarlo: box arity mismatch", {});
   return monteCarloInputSignificance(K->Evaluate, Box, Options);
 }
 

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Allocation helpers giving the SoA hot-path arrays (BatchAdjoints,
-/// ChunkedVector blocks) cache-line-aligned starts, so vector loads of
-/// the leading lanes never straddle a line and the blocks tile cleanly.
+/// An allocator giving the SoA hot-path arrays (BatchAdjoints rows)
+/// cache-line-aligned starts, so vector loads of the leading lanes never
+/// straddle a line and the rows tile cleanly.
 /// Alignment is an optimization contract, not a correctness one — the
 /// SIMD kernels use unaligned loads — but debug builds assert it so a
 /// regression is caught at the allocation site, not in a profile.
@@ -20,7 +20,7 @@
 
 #include <cassert>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <new>
 
 namespace scorpio {
@@ -66,42 +66,6 @@ template <typename T> struct AlignedAllocator {
     return false;
   }
 };
-
-/// Deleter for fixed-count aligned arrays (see allocateAlignedBlock).
-template <typename T> struct AlignedBlockDeleter {
-  std::size_t Count = 0;
-  void operator()(T *P) const noexcept {
-    if (!P)
-      return;
-    for (std::size_t I = Count; I-- > 0;)
-      P[I].~T();
-    ::operator delete(static_cast<void *>(P),
-                      std::align_val_t{CacheLineBytes});
-  }
-};
-
-/// Owning pointer to a cache-line-aligned, value-initialized T[N].
-template <typename T>
-using AlignedBlock = std::unique_ptr<T[], AlignedBlockDeleter<T>>;
-
-/// Allocates a cache-line-aligned array of \p N value-initialized Ts —
-/// the aligned equivalent of std::make_unique<T[]>(N).
-template <typename T> AlignedBlock<T> allocateAlignedBlock(std::size_t N) {
-  void *Raw = ::operator new(N * sizeof(T), std::align_val_t{CacheLineBytes});
-  T *P = static_cast<T *>(Raw);
-  std::size_t I = 0;
-  try {
-    for (; I != N; ++I)
-      new (P + I) T();
-  } catch (...) {
-    while (I-- > 0)
-      P[I].~T();
-    ::operator delete(Raw, std::align_val_t{CacheLineBytes});
-    throw;
-  }
-  assert(isCacheLineAligned(P) && "aligned new returned unaligned storage");
-  return AlignedBlock<T>(P, AlignedBlockDeleter<T>{N});
-}
 
 } // namespace simd
 } // namespace scorpio

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Forward-value interval kernels over contiguous Interval runs (the
-/// shape ChunkedVector blocks and BatchAdjoints rows have): a
+/// shape the tape's adjoint array and BatchAdjoints rows have): a
 /// NativeLanes-wide vector body plus a scalar tail calling the exact
 /// scalar operator, so every element's result is bit-identical to a
 /// plain scalar loop regardless of how the run length divides the lane

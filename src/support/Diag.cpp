@@ -159,7 +159,6 @@ struct HookState {
   std::string Pattern;
   int Remaining = 0;
 };
-std::atomic<bool> HookArmed{false};
 
 HookState &hookState() {
   static HookState *S = new HookState();
@@ -172,7 +171,7 @@ void DiagTestHook::arm(std::string SitePattern, int Count) {
   std::lock_guard<std::mutex> Lock(S.Mutex);
   S.Pattern = std::move(SitePattern);
   S.Remaining = Count;
-  HookArmed.store(Count > 0, std::memory_order_release);
+  Armed.store(Count > 0, std::memory_order_release);
 }
 
 void DiagTestHook::disarm() {
@@ -180,11 +179,7 @@ void DiagTestHook::disarm() {
   std::lock_guard<std::mutex> Lock(S.Mutex);
   S.Pattern.clear();
   S.Remaining = 0;
-  HookArmed.store(false, std::memory_order_release);
-}
-
-bool DiagTestHook::armed() {
-  return HookArmed.load(std::memory_order_acquire);
+  Armed.store(false, std::memory_order_release);
 }
 
 bool DiagTestHook::shouldFail(const char *Site) {
@@ -195,7 +190,7 @@ bool DiagTestHook::shouldFail(const char *Site) {
   if (std::string(Site).find(S.Pattern) == std::string::npos)
     return false;
   if (--S.Remaining == 0)
-    HookArmed.store(false, std::memory_order_release);
+    Armed.store(false, std::memory_order_release);
   return true;
 }
 

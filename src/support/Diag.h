@@ -29,7 +29,7 @@
 /// Policy: checks guard *caller-reachable* preconditions at API
 /// boundaries.  Hot-path internal invariants that cannot be violated by
 /// caller input (the interval constructor invoked per sweep operation,
-/// ChunkedVector indexing, BatchAdjoints lanes, Image::at) legitimately
+/// BatchAdjoints lanes, Image::at) legitimately
 /// remain `assert`s; see DESIGN.md "Error handling & failure policy".
 ///
 //===----------------------------------------------------------------------===//
@@ -37,6 +37,7 @@
 #ifndef SCORPIO_SUPPORT_DIAG_H
 #define SCORPIO_SUPPORT_DIAG_H
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -206,11 +207,17 @@ public:
   static void arm(std::string SitePattern, int Count = 1);
   /// Disarms any pending fault.
   static void disarm();
-  /// Cheap pre-test used by the check macros (relaxed atomic load).
-  static bool armed();
+  /// Cheap pre-test used by the check macros: an inline relaxed load,
+  /// so a live check on a hot accessor costs no call.  shouldFail()
+  /// re-reads the armed state under the hook's mutex.
+  static bool armed() { return Armed.load(std::memory_order_relaxed); }
   /// True when a matching fault is armed; consumes one count.  Called by
   /// the macros only after armed() returned true.
   static bool shouldFail(const char *Site);
+
+private:
+  /// True while a fault is pending; written under the hook's mutex.
+  static inline std::atomic<bool> Armed{false};
 };
 
 /// Records the failure, applies the active CheckPolicy (stderr print /

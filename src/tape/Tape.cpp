@@ -105,9 +105,15 @@ void Tape::reserve(size_t ExpectedNodes) {
   Adjoints.reserve(ExpectedNodes);
 }
 
+// Every record function copies its operands into locals before the
+// first push_back: callers may pass references into this tape's own
+// arrays (T.value(B) as a partial), and a growing push_back relocates
+// them.
+
 NodeId Tape::recordInput(const Interval &V) {
   const NodeId Id = static_cast<NodeId>(Values.size());
-  Values.push_back(V);
+  const Interval Value = V;
+  Values.push_back(Value);
   Ops.push_back(TapeOp{OpKind::Input, 0});
   Edges.push_back(TapeEdges{});
   Adjoints.push_back(Interval(0.0));
@@ -127,14 +133,16 @@ NodeId Tape::recordUnary(OpKind K, const Interval &V, NodeId Arg,
       SCORPIO_CHECK(Arg != InvalidNodeId && Arg < Id,
                     diag::ErrC::InvalidArgument,
                     "Tape::recordUnary: invalid or forward argument id");
-  Values.push_back(V);
-  Ops.push_back(TapeOp{K, AuxInt});
-  TapeEdges &E = Edges.push_back(TapeEdges{});
+  TapeEdges E;
   if (ArgOk) {
     E.NumArgs = 1;
     E.Args[0] = Arg;
     E.Partials[0] = Partial;
   }
+  const Interval Value = V;
+  Values.push_back(Value);
+  Ops.push_back(TapeOp{K, AuxInt});
+  Edges.push_back(E);
   Adjoints.push_back(Interval(0.0));
   return Id;
 }
@@ -160,9 +168,7 @@ NodeId Tape::recordBinary(OpKind K, const Interval &V, NodeId Arg0,
                       diag::ErrC::InvalidArgument,
                       "Tape::recordBinary: binary op needs at least one "
                       "active argument");
-  Values.push_back(V);
-  Ops.push_back(TapeOp{K, 0});
-  TapeEdges &E = Edges.push_back(TapeEdges{});
+  TapeEdges E;
   if (Use0) {
     E.Args[E.NumArgs] = Arg0;
     E.Partials[E.NumArgs] = Partial0;
@@ -173,13 +179,16 @@ NodeId Tape::recordBinary(OpKind K, const Interval &V, NodeId Arg0,
     E.Partials[E.NumArgs] = Partial1;
     ++E.NumArgs;
   }
+  const Interval Value = V;
+  Values.push_back(Value);
+  Ops.push_back(TapeOp{K, 0});
+  Edges.push_back(E);
   Adjoints.push_back(Interval(0.0));
   return Id;
 }
 
 void Tape::clearAdjoints() {
-  for (size_t B = 0, NB = Adjoints.numFilledBlocks(); B != NB; ++B)
-    simd::zeroFillRun(Adjoints.blockData(B), Adjoints.blockFill(B));
+  simd::zeroFillRun(Adjoints.data(), Adjoints.size());
 }
 
 void Tape::seedAdjoint(NodeId Id, const Interval &Seed) {

@@ -15,14 +15,20 @@
 /// derivative of the output with respect to *every* intermediate variable
 /// is available (Figure 1b).
 ///
-/// Storage is structure-of-arrays over chunked arenas (ChunkedVector):
-/// recording never relocates nodes, NodeIds and element addresses are
-/// stable, and the reverse sweep streams only the sweep-hot fields
-/// (argument ids, partials, adjoints) instead of striding over full
-/// nodes.  reverseSweepBatch() additionally propagates a configurable
-/// number of independent output seeds ("adjoint lanes") in one backward
-/// pass, which is what makes PerOutput significance analysis of
-/// m-output kernels cost ceil(m/K) sweeps instead of m.
+/// Storage is structure-of-arrays over contiguous std::vectors, so the
+/// reverse sweep streams only the sweep-hot fields (argument ids,
+/// partials, adjoints) instead of striding over full nodes, and a small
+/// tape costs only what it records.  reverseSweepBatch() additionally
+/// propagates a configurable number of independent output seeds
+/// ("adjoint lanes") in one backward pass, which is what makes PerOutput
+/// significance analysis of m-output kernels cost ceil(m/K) sweeps
+/// instead of m.
+///
+/// Lifetime rule: a NodeId stays valid for the lifetime of its tape, but
+/// a reference returned by value(), partial() or adjoint() lasts only
+/// until the next record call, which may grow (and so relocate) the
+/// arrays.  The record functions themselves accept such references as
+/// arguments: they copy every operand before appending anything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +38,6 @@
 #include "interval/Interval.h"
 #include "simd/AlignedAlloc.h"
 #include "support/Diag.h"
-#include "tape/ChunkedVector.h"
 
 #include <cstdint>
 #include <span>
@@ -192,9 +197,9 @@ public:
   Tape &operator=(Tape &&) = default;
 
   /// Preallocates storage for \p ExpectedNodes nodes.  A pure hint:
-  /// recording beyond it simply grows block by block.  Kernels that know
-  /// their op count (apps, sharded drivers) call this to avoid growth
-  /// checks on the hot recording path.
+  /// recording beyond it simply grows the arrays.  Kernels that know
+  /// their op count (apps, sharded drivers) call this to avoid
+  /// reallocation on the hot recording path.
   void reserve(size_t ExpectedNodes);
 
   /// Appends an input node holding enclosure \p V; returns its id.
@@ -355,12 +360,11 @@ private:
     return Zero;
   }
 
-  /// SoA node storage over chunked arenas (stable addresses, no
-  /// reallocation-induced copies).
-  ChunkedVector<Interval> Values;
-  ChunkedVector<TapeOp> Ops;
-  ChunkedVector<TapeEdges> Edges;
-  ChunkedVector<Interval> Adjoints;
+  /// SoA node storage, one entry per node in each array.
+  std::vector<Interval> Values;
+  std::vector<TapeOp> Ops;
+  std::vector<TapeEdges> Edges;
+  std::vector<Interval> Adjoints;
   std::vector<NodeId> Inputs;
   std::vector<std::string> Divergences;
 };

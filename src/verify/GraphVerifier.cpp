@@ -26,6 +26,17 @@ std::string nodeDesc(const DynDFG &G, NodeId Id) {
   return S;
 }
 
+/// Records a finding without a fix-it.
+void flag(VerifyReport &R, RuleKind K, NodeId Node, int Arg,
+          std::string Msg) {
+  Finding F;
+  F.Kind = K;
+  F.Node = Node;
+  F.ArgIndex = Arg;
+  F.Message = std::move(Msg);
+  R.add(std::move(F));
+}
+
 /// True when \p Id is in range for \p G and names an alive node.
 bool aliveIn(const DynDFG &G, NodeId Id) {
   return G.isValidNode(Id) && G.node(Id).Alive;
@@ -81,7 +92,7 @@ bool checkEdges(const DynDFG &G, VerifyReport &R) {
         M << nodeDesc(G, Id) << " " << Dir << "[" << A << "] = " << E << " ";
         M << (G.isValidNode(E) ? "references a dead node"
                                : "is outside the graph");
-        R.add({RuleKind::GraphDanglingEdge, Id, static_cast<int>(A), M.str()});
+        flag(R, RuleKind::GraphDanglingEdge, Id, static_cast<int>(A), M.str());
       }
     };
     Check(N.Preds, "pred");
@@ -115,7 +126,7 @@ void checkMirrors(const DynDFG &G, VerifyReport &R) {
     M << "edge " << nodeDesc(G, Edge.first) << " -> "
       << nodeDesc(G, Edge.second) << " appears " << Counts.first
       << "x in Preds but " << Counts.second << "x in Succs";
-    R.add({RuleKind::MirrorInconsistency, Edge.second, -1, M.str()});
+    flag(R, RuleKind::MirrorInconsistency, Edge.second, -1, M.str());
   }
 }
 
@@ -147,7 +158,7 @@ void checkAcyclic(const DynDFG &G, VerifyReport &R) {
         std::ostringstream M;
         M << "back edge " << nodeDesc(G, V) << " -> " << nodeDesc(G, P)
           << " closes a cycle in the alive subgraph";
-        R.add({RuleKind::GraphCycle, P, -1, M.str()});
+        flag(R, RuleKind::GraphCycle, P, -1, M.str());
         continue;
       }
       if (Color[static_cast<size_t>(P)] == White) {
@@ -172,13 +183,13 @@ void checkLevels(const DynDFG &G, const GraphVerifierOptions &Options,
       std::ostringstream M;
       M << nodeDesc(G, Id) << " stores level " << N.Level
         << " but its BFS distance from the outputs is " << Expected[I];
-      R.add({RuleKind::LevelInvariant, Id, -1, M.str()});
+      flag(R, RuleKind::LevelInvariant, Id, -1, M.str());
     }
     if (Options.CheckUnreachable && Expected[I] == -1) {
       std::ostringstream M;
       M << nodeDesc(G, Id)
         << " is alive but no registered output depends on it";
-      R.add({RuleKind::UnreachableAlive, Id, -1, M.str()});
+      flag(R, RuleKind::UnreachableAlive, Id, -1, M.str());
     }
   }
 }
@@ -214,7 +225,7 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
     std::ostringstream M;
     M << "simplify changed the node id space: " << Before.size()
       << " nodes before, " << After.size() << " after";
-    R.add({RuleKind::OutputSetChanged, InvalidNodeId, -1, M.str()});
+    flag(R, RuleKind::OutputSetChanged, InvalidNodeId, -1, M.str());
     return R; // the id spaces are incomparable; nothing else is checkable
   }
   const size_t N = Before.size();
@@ -224,13 +235,13 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
   const std::set<NodeId> OutA = aliveOutputs(After);
   for (NodeId Id : OutB)
     if (!OutA.count(Id)) {
-      R.add({RuleKind::OutputSetChanged, Id, -1,
-             "output " + nodeDesc(Before, Id) + " did not survive simplify"});
+      flag(R, RuleKind::OutputSetChanged, Id, -1,
+           "output " + nodeDesc(Before, Id) + " did not survive simplify");
     }
   for (NodeId Id : OutA)
     if (!OutB.count(Id)) {
-      R.add({RuleKind::OutputSetChanged, Id, -1,
-             "simplify introduced output " + nodeDesc(After, Id)});
+      flag(R, RuleKind::OutputSetChanged, Id, -1,
+           "simplify introduced output " + nodeDesc(After, Id));
     }
 
   // Collapsed = alive before, dead after.  Anything dead before must
@@ -243,8 +254,8 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
     if (B && !A)
       Collapsed[I] = true;
     else if (!B && A)
-      R.add({RuleKind::InvalidCollapse, Id, -1,
-             "dead node " + nodeDesc(After, Id) + " was revived by simplify"});
+      flag(R, RuleKind::InvalidCollapse, Id, -1,
+           "dead node " + nodeDesc(After, Id) + " was revived by simplify");
   }
 
   // G007a: every collapsed node satisfies the S4 chain-link criterion,
@@ -269,9 +280,9 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
              Before.node(V.Succs[0]).Kind != V.Kind)
       Why = "its consumer does not perform the same operation";
     if (!Why.empty())
-      R.add({RuleKind::InvalidCollapse, Id, -1,
-             "collapsed node " + nodeDesc(Before, Id) + " " + Why +
-                 "; it is not a res = res + term chain link"});
+      flag(R, RuleKind::InvalidCollapse, Id, -1,
+           "collapsed node " + nodeDesc(Before, Id) + " " + Why +
+               "; it is not a res = res + term chain link");
   }
 
   // Head of a collapsed node: follow the unique-consumer chain in
@@ -314,7 +325,7 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
       M << nodeDesc(After, Id) << " has " << GotSet.size()
         << " operands after simplify but the collapsed chains imply "
         << Expected[I].size() << "; the re-attachment sets differ";
-      R.add({RuleKind::InvalidCollapse, Id, -1, M.str()});
+      flag(R, RuleKind::InvalidCollapse, Id, -1, M.str());
     }
   }
 
@@ -334,7 +345,7 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
       M << nodeDesc(After, Id) << " significance changed from "
         << Before.node(Id).Significance << " to "
         << After.node(Id).Significance << " across simplify";
-      R.add({RuleKind::SignificanceMassLoss, Id, -1, M.str()});
+      flag(R, RuleKind::SignificanceMassLoss, Id, -1, M.str());
     }
   }
   double MassB = 0.0, MassA = 0.0;
@@ -346,7 +357,7 @@ VerifyReport verify::verifySimplify(const DynDFG &Before, const DynDFG &After,
     std::ostringstream M;
     M << "total alive output significance changed from " << MassB << " to "
       << MassA << " across simplify";
-    R.add({RuleKind::SignificanceMassLoss, InvalidNodeId, -1, M.str()});
+    flag(R, RuleKind::SignificanceMassLoss, InvalidNodeId, -1, M.str());
   }
   return R;
 }
@@ -376,7 +387,7 @@ VerifyReport verify::verifyVarianceLevel(const DynDFG &G, int ReportedLevel,
     M << "reported significance-variance level " << ReportedLevel
       << " but re-scanning the per-level significances (delta=" << Delta
       << ", divisor=" << Divisor << ") yields " << Expected;
-    R.add({RuleKind::VarianceLevelMismatch, InvalidNodeId, -1, M.str()});
+    flag(R, RuleKind::VarianceLevelMismatch, InvalidNodeId, -1, M.str());
   }
   return R;
 }
@@ -389,7 +400,7 @@ VerifyReport verify::verifyTruncation(const DynDFG &G, int MaxLevel,
     std::ostringstream M;
     M << "truncatedAbove(" << MaxLevel << ") changed the node id space: "
       << G.size() << " nodes before, " << Truncated.size() << " after";
-    R.add({RuleKind::TruncationNotMonotone, InvalidNodeId, -1, M.str()});
+    flag(R, RuleKind::TruncationNotMonotone, InvalidNodeId, -1, M.str());
     return R;
   }
   const auto Survives = [&](NodeId Id) {
@@ -406,7 +417,7 @@ VerifyReport verify::verifyTruncation(const DynDFG &G, int MaxLevel,
         << (T.Alive ? "alive" : "dead") << " after truncatedAbove("
         << MaxLevel << ") but the level prefix says it must be "
         << (Want ? "alive" : "dead");
-      R.add({RuleKind::TruncationNotMonotone, Id, -1, M.str()});
+      flag(R, RuleKind::TruncationNotMonotone, Id, -1, M.str());
       continue;
     }
     if (!Want)
@@ -418,10 +429,10 @@ VerifyReport verify::verifyTruncation(const DynDFG &G, int MaxLevel,
                              T.Level == S.Level && T.Label == S.Label &&
                              T.IsOutput == S.IsOutput;
     if (!PayloadSame) {
-      R.add({RuleKind::TruncationNotMonotone, Id, -1,
-             "payload of " + nodeDesc(G, Id) +
-                 " changed across truncatedAbove(" +
-                 std::to_string(MaxLevel) + ")"});
+      flag(R, RuleKind::TruncationNotMonotone, Id, -1,
+           "payload of " + nodeDesc(G, Id) +
+               " changed across truncatedAbove(" +
+               std::to_string(MaxLevel) + ")");
       continue;
     }
     // Edges must be the source edges filtered to survivors, in order.
@@ -433,11 +444,11 @@ VerifyReport verify::verifyTruncation(const DynDFG &G, int MaxLevel,
       return Out;
     };
     if (T.Preds != Filtered(S.Preds) || T.Succs != Filtered(S.Succs)) {
-      R.add({RuleKind::TruncationNotMonotone, Id, -1,
-             "edge lists of " + nodeDesc(G, Id) +
-                 " are not the survivor-filtered source edges after "
-                 "truncatedAbove(" +
-                 std::to_string(MaxLevel) + ")"});
+      flag(R, RuleKind::TruncationNotMonotone, Id, -1,
+           "edge lists of " + nodeDesc(G, Id) +
+               " are not the survivor-filtered source edges after "
+               "truncatedAbove(" +
+               std::to_string(MaxLevel) + ")");
     }
   }
   return R;

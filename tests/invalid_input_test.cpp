@@ -17,6 +17,7 @@
 #include "core/SplitAnalysis.h"
 #include "core/TaskSuggestion.h"
 #include "interval/Interval.h"
+#include "kernels/KernelRegistry.h"
 #include "quality/Image.h"
 #include "quality/Metrics.h"
 #include "runtime/RatioController.h"
@@ -460,6 +461,32 @@ TEST_F(InvalidInputTest, MonteCarloZeroSamplesRecoversToZeros) {
       [](std::span<const double> P) { return P[0] + P[1]; }, Box, Opts);
   EXPECT_EQ(Sig, std::vector<double>({0.0, 0.0}));
   EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 1u);
+}
+
+TEST_F(InvalidInputTest, RegistryUnknownKernelRecoversInvalid) {
+  const KernelRegistry &Reg = KernelRegistry::global();
+  const AnalysisResult R = Reg.analyse("no-such-kernel");
+  EXPECT_FALSE(R.isValid());
+  ASSERT_EQ(R.divergences().size(), 1u);
+  EXPECT_NE(R.divergences()[0].find("unknown kernel 'no-such-kernel'"),
+            std::string::npos);
+  EXPECT_TRUE(Reg.monteCarlo("no-such-kernel").empty());
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 2u);
+}
+
+TEST_F(InvalidInputTest, RegistryWrongArityBoxRecoversInvalid) {
+  const KernelRegistry &Reg = KernelRegistry::global();
+  const std::string Name = Reg.names().front();
+  const KernelDescriptor *K = Reg.find(Name);
+  ASSERT_NE(K, nullptr);
+  std::vector<Interval> Box = K->DefaultRanges;
+  Box.push_back(Interval(0.0, 1.0));
+  const AnalysisResult R = Reg.analyse(Name, Box);
+  EXPECT_FALSE(R.isValid());
+  ASSERT_EQ(R.divergences().size(), 1u);
+  EXPECT_NE(R.divergences()[0].find("box arity mismatch"), std::string::npos);
+  EXPECT_TRUE(Reg.monteCarlo(Name, Box).empty());
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::SizeMismatch), 2u);
 }
 
 TEST_F(InvalidInputTest, RankingAgreementSizeMismatchRecoversToZero) {

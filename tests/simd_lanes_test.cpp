@@ -307,11 +307,6 @@ TEST(SimdLanes, AlignedAllocationIsCacheLineAligned) {
   std::vector<Interval, simd::AlignedAllocator<Interval>> V(17,
                                                             Interval(0.0));
   EXPECT_TRUE(simd::isCacheLineAligned(V.data()));
-  const simd::AlignedBlock<Interval> B =
-      simd::allocateAlignedBlock<Interval>(100);
-  EXPECT_TRUE(simd::isCacheLineAligned(B.get()));
-  for (size_t I = 0; I != 100; ++I)
-    EXPECT_TRUE(sameBits(B[I], Interval(0.0))) << I;
 }
 
 } // namespace

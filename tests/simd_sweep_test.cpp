@@ -228,12 +228,6 @@ TEST(SimdSweep, AdjointStorageIsCacheLineAligned) {
   A.tape().reverseSweepBatch(A.outputNodes(), Batch);
   ASSERT_GT(Batch.numNodes(), size_t{0});
   EXPECT_TRUE(simd::isCacheLineAligned(Batch.row(0)));
-  // ChunkedVector blocks (the tape's SoA value/adjoint arrays) are
-  // allocated cache-line aligned; blockData asserts it in debug builds.
-  ChunkedVector<Interval> CV;
-  for (int I = 0; I != 100; ++I)
-    CV.push_back(Interval(static_cast<double>(I)));
-  EXPECT_TRUE(simd::isCacheLineAligned(CV.blockData(0)));
 }
 
 } // namespace

@@ -182,26 +182,36 @@ TEST(Tape, ReserveIsPureHint) {
   EXPECT_EQ(T.value(X), Interval(1.0, 2.0));
 }
 
-TEST(Tape, ChunkGrowthKeepsAddressesStable) {
-  // Push well past one 4096-element block; addresses taken early must
-  // stay valid (the chunked arena never relocates elements).
+TEST(Tape, RecordArgumentsMayAliasTheTape) {
+  // Without reserve(), recording well past 3 x 4096 nodes reallocates
+  // every array many times.  Each node passes T.value(Prev) itself (a
+  // reference into the tape's value array) as its value and as its
+  // partial; the record functions must copy both before appending, or
+  // the ASan build reports a heap-use-after-free here.
   Tape T;
-  const NodeId X = T.recordInput(Interval(0.5));
-  const Interval *ValueAddr = &T.value(X);
-  const Interval *AdjAddr = &T.adjoint(X);
+  const NodeId X = T.recordInput(Interval(-1.0));
   NodeId Prev = X;
   constexpr int NumNodes = 3 * 4096 + 17;
-  for (int I = 0; I != NumNodes; ++I)
-    Prev = T.recordUnary(OpKind::Neg, -T.value(Prev), Prev, Interval(-1.0));
-  EXPECT_EQ(T.size(), static_cast<size_t>(NumNodes) + 1);
-  EXPECT_EQ(&T.value(X), ValueAddr);
-  EXPECT_EQ(&T.adjoint(X), AdjAddr);
-  // A sweep through the full chain still reaches the input: the chain is
-  // NumNodes negations, so dy/dx = (-1)^NumNodes.
+  for (int I = 0; I != NumNodes; ++I) {
+    if (I % 2 == 0)
+      Prev = T.recordUnary(OpKind::Sqr, T.value(Prev), Prev, T.value(Prev));
+    else
+      Prev = T.recordBinary(OpKind::Mul, T.value(Prev), Prev, T.value(Prev),
+                            InvalidNodeId, Interval(0.0));
+  }
+  ASSERT_EQ(T.size(), static_cast<size_t>(NumNodes) + 1);
+  for (NodeId Id = 1; Id <= NumNodes; ++Id) {
+    ASSERT_EQ(T.value(Id), Interval(-1.0)) << "node " << Id;
+    ASSERT_EQ(T.numArgs(Id), 1u) << "node " << Id;
+    ASSERT_EQ(T.arg(Id, 0), Id - 1) << "node " << Id;
+    ASSERT_EQ(T.partial(Id, 0), Interval(-1.0)) << "node " << Id;
+  }
+  // The chain is NumNodes factors of -1, so dy/dx = (-1)^NumNodes.
   T.clearAdjoints();
   T.seedAdjoint(Prev, Interval(1.0));
   T.reverseSweep();
   const double Expected = (NumNodes % 2 == 0) ? 1.0 : -1.0;
+  EXPECT_TRUE(T.adjoint(X).contains(Expected));
   EXPECT_NEAR(T.adjoint(X).mid(), Expected, 1e-12);
 }
 
