@@ -484,15 +484,8 @@ int main() {
       P.addShard("chain" + std::to_string(S), [] {
         recordChains(Analysis::current(), NumOutputs, RecordNodes / 16);
       });
-    TransportOptions Stap;
-    Stap.Mode = ShardTransport::Stap;
-    Stap.Directory = ShardDir;
-    P.run(ChainOpts, 4, ShardVerification::Off, Stap);
-
-    std::vector<std::string> ShardPaths;
-    for (const auto &Entry : fs::directory_iterator(ShardDir))
-      ShardPaths.push_back(Entry.path().string());
-    std::sort(ShardPaths.begin(), ShardPaths.end());
+    const std::vector<std::string> ShardPaths =
+        P.saveShards(ShardDir, ChainOpts).valueOr({});
     const size_t NumShards = ShardPaths.size();
 
     const auto StreamMerge = [&](StreamingMergeOptions Options) {

@@ -19,8 +19,6 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
-#include <sstream>
-#include <thread>
 
 using namespace scorpio;
 
@@ -54,8 +52,8 @@ verify::VerifyReport verifyShard(Analysis &A, const AnalysisResult &Result,
   return R;
 }
 
-/// Deterministic on-disk name for shard \p Index ("shard_000007.stap"),
-/// shared by run()'s directory transport and tools/scorpio_shardd.
+/// Deterministic on-disk name for shard \p Index ("shard_000007.stap"):
+/// the one place a shard file name is formatted.
 std::string shardFileName(size_t Index) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "shard_%06zu.stap", Index);
@@ -213,12 +211,6 @@ bool auditCachedShard(const LoadedTape &Loaded,
   return !verify::auditStoredSignificance(Abs, Stored, AbsOpts).hasErrors();
 }
 
-/// Cache-aware shard analysis shared by run()'s Stap reload stage and
-/// the streaming merge: a key hit skips adoption and every reverse
-/// sweep; a miss analyses and (in ReadWrite mode) stores.  Verification
-/// requests bypass the cache — cached entries carry no findings.
-/// With \p Audit set, a hit is served only after auditCachedShard
-/// blesses it; a rejected entry is invalidated and counts as a miss.
 /// Submits \p Job to \p Pool under \p Group, running it inline when the
 /// pool refuses (shutdown during process teardown): every result slot
 /// is published exactly once either way.  Callers must not hold locks
@@ -244,6 +236,12 @@ constexpr size_t MinGroupCostNodes = 1024;
 /// stealing scheduler to rebalance a skewed schedule.
 constexpr size_t GroupsPerWorker = 4;
 
+/// Cache-aware shard analysis of the streaming merge: a key hit skips
+/// adoption and every reverse sweep; a miss analyses and (in ReadWrite
+/// mode) stores.  Verification requests bypass the cache — cached
+/// entries carry no findings.  With \p Audit set, a hit is served only
+/// after auditCachedShard blesses it; a rejected entry is invalidated
+/// and counts as a miss.
 ShardResult analyseOrCacheShard(LoadedTape Loaded,
                                 const AnalysisOptions &Options,
                                 ShardVerification Verify, CacheMode Mode,
@@ -517,14 +515,6 @@ void ParallelAnalysis::analyseWorker(Analysis &A, ShardResult &Slot,
     Slot.Verification = verifyShard(A, Slot.Result, Options, Verify);
 }
 
-void ParallelAnalysis::transportFailure(ShardResult &Slot,
-                                        const diag::Status &S) {
-  AnalysisResult Failed;
-  Failed.Divergences.push_back("transport: " + S.message());
-  Slot.Result = std::move(Failed);
-  Slot.Verification = verify::VerifyReport();
-}
-
 ShardResult ParallelAnalysis::analyseShardTape(LoadedTape Loaded,
                                                const AnalysisOptions &Options,
                                                ShardVerification Verify) {
@@ -536,7 +526,7 @@ ShardResult ParallelAnalysis::analyseShardTape(LoadedTape Loaded,
   Analysis A;
   const TapeRegistration Reg = std::move(Loaded.Reg);
   if (diag::Status S = A.adopt(std::move(Loaded.T), Reg); !S.isOk()) {
-    transportFailure(SR, S);
+    SR.Result.Divergences.push_back("transport: " + S.message());
     return SR;
   }
   analyseWorker(A, SR, Options, Verify);
@@ -610,15 +600,17 @@ ParallelAnalysis::planShardGroups(const std::vector<size_t> &CostHints,
   return Plan;
 }
 
+void ParallelAnalysis::recordShard(size_t Index, Analysis &A) const {
+  const Shard &S = Shards[Index];
+  if (S.TapeSizeHint != 0)
+    A.tape().reserve(S.TapeSizeHint);
+  S.Record();
+}
+
 ParallelAnalysisResult ParallelAnalysis::run(const AnalysisOptions &Options,
                                              unsigned NumThreads,
-                                             ShardVerification Verify,
-                                             const TransportOptions &Transport) {
+                                             ShardVerification Verify) {
   std::vector<ShardResult> Results(Shards.size());
-  const bool Stap = Transport.Mode == ShardTransport::Stap;
-  // Stap transport: stage 1 leaves one serialized blob (or file path)
-  // per shard; stage 2 reloads each through the readStap trust boundary.
-  std::vector<std::string> Blobs(Stap ? Shards.size() : 0);
 
   // One warm process-wide pool per (thread count, seed): repeated run()
   // calls stopped paying thread spawn/join per call, which alone was
@@ -639,79 +631,47 @@ ParallelAnalysisResult ParallelAnalysis::run(const AnalysisOptions &Options,
       planShardGroups(Costs, Pool.numThreads());
 
   for (const ShardGroup &G : Plan) {
-    submitOrRun(Pool, Group, [this, G, &Options, Verify, &Transport,
-                              &Results, &Blobs, &Pool, &Group, Stap] {
+    submitOrRun(Pool, Group, [this, G, &Options, Verify, &Results] {
       for (size_t I = G.Begin; I != G.End; ++I) {
         // Tapes and the current-Analysis pointer are thread-local, so
         // each worker records in complete isolation; the shard's index
         // in the result vector is fixed at registration, making the
         // merge independent of scheduling.
-        const Shard &S = Shards[I];
         ShardResult &Slot = Results[I];
         Analysis A;
-        if (S.TapeSizeHint != 0)
-          A.tape().reserve(S.TapeSizeHint);
-        S.Record();
-        Slot.Name = S.Name;
+        recordShard(I, A);
+        Slot.Name = Shards[I].Name;
         Slot.Index = I;
-        if (!Stap) {
-          analyseWorker(A, Slot, Options, Verify);
-          continue;
-        }
-        const TapeMeta Meta = makeShardMeta(S.Name, I, Options);
-        StapWriteOptions WOpts;
-        WOpts.Compress = Transport.Compress;
-        diag::Status St = diag::Status::ok();
-        if (Transport.Directory.empty()) {
-          std::ostringstream OS(std::ios::binary);
-          St = writeStap(OS, A.tape(), A.registration(), {}, WOpts, &Meta);
-          Blobs[I] = OS.str();
-        } else {
-          Blobs[I] = Transport.Directory + "/" + shardFileName(I);
-          St = saveStap(Blobs[I], A.tape(), A.registration(), {}, WOpts,
-                        &Meta);
-        }
-        if (!St.isOk()) {
-          // Poisoned slot: a failed serialize still publishes its fixed
-          // result slot (as an invalid result carrying the transport
-          // divergence) and simply never spawns a reload, so the
-          // pipelined merge below cannot stall on it.
-          transportFailure(Slot, St);
-          continue;
-        }
-        // Pipelined stage 2: the reload + re-analyse of this shard is
-        // submitted the moment its blob exists — it overlaps with the
-        // recording of the remaining shards instead of waiting behind a
-        // global barrier between the two waves.
-        submitOrRun(Pool, Group, [&Options, Verify, &Transport, &Results,
-                                  &Blobs, I] {
-          ShardResult &Slot2 = Results[I];
-          diag::Expected<LoadedTape> Loaded =
-              Transport.Directory.empty()
-                  ? [&] {
-                      std::istringstream IS(Blobs[I], std::ios::binary);
-                      return readStap(IS);
-                    }()
-                  : loadStap(Blobs[I]);
-          if (!Loaded.hasValue()) {
-            transportFailure(Slot2, Loaded.status());
-            return;
-          }
-          ShardResult Re = analyseOrCacheShard(
-              std::move(Loaded.value()), Options, Verify, Transport.Cache,
-              Transport.ResultCache, Transport.CacheAudit,
-              /*Stats=*/nullptr);
-          // Name/Index stay as registered; the tape's META must agree
-          // (it was stamped from the same registration one stage ago).
-          Slot2.Result = std::move(Re.Result);
-          Slot2.Verification = std::move(Re.Verification);
-        });
+        analyseWorker(A, Slot, Options, Verify);
       }
     });
   }
   Group.wait();
 
   return mergeShards(std::move(Results), Verify != ShardVerification::Off);
+}
+
+diag::Expected<std::vector<std::string>>
+ParallelAnalysis::saveShards(const std::string &Dir,
+                             const AnalysisOptions &Options,
+                             bool Compress) const {
+  StapWriteOptions WOpts;
+  WOpts.Compress = Compress;
+  std::vector<std::string> Paths;
+  Paths.reserve(Shards.size());
+  for (size_t I = 0; I != Shards.size(); ++I) {
+    Analysis A;
+    recordShard(I, A);
+    const TapeMeta Meta = makeShardMeta(Shards[I].Name, I, Options);
+    std::string Path = Dir + "/" + shardFileName(I);
+    if (diag::Status S =
+            saveStap(Path, A.tape(), A.registration(), {}, WOpts, &Meta);
+        !S.isOk())
+      return diag::Status::error(S.code(),
+                                 "shard '" + Path + "': " + S.message());
+    Paths.push_back(std::move(Path));
+  }
+  return Paths;
 }
 
 diag::Status ParallelAnalysisResult::saveJson(const std::string &Path) const {
@@ -847,254 +807,127 @@ ParallelAnalysis::mergeStapStreaming(const std::vector<std::string> &Paths,
     return diag::Status::error(diag::ErrC::EmptyInput,
                                "streaming merge: no shard paths");
 
+  const auto ShardError = [&](size_t I, diag::ErrC Code,
+                              const std::string &Why) {
+    return diag::Status::error(Code, "shard '" + Paths[I] + "'" + Why);
+  };
+  const auto HasOptions = [](const LoadedTape &Tape) {
+    return Tape.Meta && Tape.Meta->HasOptions;
+  };
+  const std::string NoMeta =
+      " carries no META analysis options; the merge requires them";
+
+  // The reference options are Paths[0]'s META, read before any job is
+  // submitted and immutable afterwards.  The backend is a merge-side
+  // choice layered on top: META pins how the tape was recorded (mode,
+  // metric, widths...), not which question the merge asks of it.
+  diag::Expected<LoadedTape> First = loadStap(Paths[0]);
+  if (!First.hasValue())
+    return ShardError(0, First.status().code(),
+                      ": " + First.status().message());
+  if (!HasOptions(First.value()))
+    return ShardError(0, diag::ErrC::InvalidArgument, NoMeta);
+  const AnalysisOptions Reference = [&] {
+    AnalysisOptions AO = shardMetaOptions(*First.value().Meta);
+    AO.Backend = Options.Backend;
+    return AO;
+  }();
+
   const size_t Window = std::max(1u, Options.PrefetchWindow);
-  // Pipelined prefetch slots: Slots[I % Window] carries Paths[I] through
-  // its lifecycle.  The pacing below never submits path I + Window
-  // before path I was consumed, so a slot is always Empty when its load
-  // is submitted and at most Window tapes exist at once.
-  //
-  //   Empty --load--> Loaded              (reference options unknown yet)
-  //   Empty --load+analyse--> Done        (reference known: the worker
-  //                                        analyses the shard itself)
-  //   Loaded --claim--> Claimed --> Done  (consumer found the reference;
-  //                                        parked slots go back to
-  //                                        workers for analysis)
-  //   any failure --> Done, Error set     (poisoned slot: a failed shard
-  //                                        still publishes, so the
-  //                                        consumer never deadlocks on a
-  //                                        slot that will never fill)
-  enum class SlotState : uint8_t { Empty, Loaded, Claimed, Done };
+  // Pipelined prefetch slots: Slots[I % Window] carries Paths[I] from
+  // submission to consumption.  The pacing below never submits path
+  // I + Window before path I was consumed, so a slot is always empty
+  // when its job is submitted and at most Window tapes exist at once.
+  // A job loads, checks and analyses its shard, then publishes Done —
+  // with the result, or poisoned with the error, so the consumer never
+  // waits on a slot that will never fill.
   struct Slot {
-    SlotState State = SlotState::Empty;
-    std::optional<LoadedTape> Tape;    // valid in Loaded
-    std::optional<ShardResult> Result; // valid in Done when not poisoned
+    bool Done = false;
+    std::optional<ShardResult> Result; // set when Done and not poisoned
     diag::Status Error = diag::Status::ok();
   };
   std::vector<Slot> Slots(Window);
   std::mutex Mutex;
   std::condition_variable SlotReady;
-  size_t InFlightTapes = 0; // loaded tapes not yet analysed/released
-  size_t NextToSubmit = 0;  // next Paths index to hand to the pool
-  // Batch option semantics: every shard analyses under the options of
-  // the first shard (in Paths order) that carries them.  The consumer
-  // establishes the reference; workers read it under Mutex.
-  AnalysisOptions Reference;
-  bool HaveReference = false;
+  size_t InFlightTapes = 1; // Paths[0]'s tape is already loaded
+  Stats->MaxTapesInFlight = 1;
+
+  const auto RunJob = [&](size_t I) {
+    // Paths[0]'s job takes the reference tape instead of loading it
+    // twice.
+    diag::Expected<LoadedTape> Loaded =
+        I == 0 ? std::move(First) : loadStap(Paths[I]);
+    const bool Held = Loaded.hasValue();
+    if (Held && I != 0) {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Stats->MaxTapesInFlight =
+          std::max(Stats->MaxTapesInFlight, ++InFlightTapes);
+    }
+    StreamingMergeStats Local;
+    std::optional<ShardResult> Result;
+    diag::Status Error = diag::Status::ok();
+    // A refused shard is released unanalysed, so it never reaches the
+    // cache either.
+    if (!Held)
+      Error = ShardError(I, Loaded.status().code(),
+                         ": " + Loaded.status().message());
+    else if (!HasOptions(Loaded.value()))
+      Error = ShardError(I, diag::ErrC::InvalidArgument, NoMeta);
+    else if (!shardMetaMatches(*Loaded.value().Meta, Reference))
+      Error = ShardError(I, diag::ErrC::InvalidArgument,
+                         " was recorded under different analysis options "
+                         "than '" +
+                             Paths[0] + "'");
+    else
+      Result = analyseOrCacheShard(std::move(Loaded.value()), Reference,
+                                   Options.Verify, Options.Cache,
+                                   Options.ResultCache, Options.CacheAudit,
+                                   &Local);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Held)
+      --InFlightTapes;
+    Stats->CacheHits += Local.CacheHits;
+    Stats->CacheMisses += Local.CacheMisses;
+    Stats->Analysed += Local.Analysed;
+    Stats->CacheAuditRejected += Local.CacheAuditRejected;
+    Slot &S = Slots[I % Window];
+    S.Result = std::move(Result);
+    S.Error = std::move(Error);
+    S.Done = true;
+    SlotReady.notify_all();
+  };
 
   rt::ThreadPool &Pool = rt::ThreadPool::shared(
       Options.NumThreads, resolveStealSeed(Options.StealSeed));
   rt::WaitGroup Group;
   // Declared after every local the jobs capture: any return path —
   // including a poisoned-slot error mid-loop — drains the outstanding
-  // load/analyse jobs before that state goes out of scope.
+  // jobs before that state goes out of scope.
   struct DrainOnExit {
     rt::WaitGroup &G;
     ~DrainOnExit() { G.wait(); }
   } Drain{Group};
 
-  const auto MismatchError = [&](const std::string &Path) {
-    return diag::Status::error(
-        diag::ErrC::InvalidArgument,
-        "shard '" + Path +
-            "' was recorded under different analysis options than '" +
-            Stats->ReferencePath + "'");
-  };
-
-  // Merge-side analysis shared by workers, the consumer and the
-  // deferred tail.  The backend is a merge-side choice layered on top
-  // of the recorded options: .stap META pins how the tape was recorded
-  // (mode, metric, widths...), not which question the merge asks of it.
-  // Cache counters accumulate into a local and fold under Mutex, since
-  // several workers analyse concurrently.
-  const auto AnalyseTape = [&](LoadedTape Tape,
-                               AnalysisOptions AO) -> ShardResult {
-    AO.Backend = Options.Backend;
-    StreamingMergeStats Local;
-    ShardResult SR = analyseOrCacheShard(std::move(Tape), AO, Options.Verify,
-                                         Options.Cache, Options.ResultCache,
-                                         Options.CacheAudit, &Local);
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stats->CacheHits += Local.CacheHits;
-    Stats->CacheMisses += Local.CacheMisses;
-    Stats->Analysed += Local.Analysed;
-    Stats->CacheAuditRejected += Local.CacheAuditRejected;
-    return SR;
-  };
-
-  // Must be called with no lock held (jobs acquire Mutex, and the
-  // inline fallback runs the job on this thread).
-  const auto SubmitUpTo = [&](size_t Limit) {
-    Limit = std::min(Limit, Paths.size());
-    for (; NextToSubmit != Limit; ++NextToSubmit) {
-      const size_t I = NextToSubmit;
-      submitOrRun(Pool, Group, [&, I] {
-        diag::Expected<LoadedTape> Loaded = loadStap(Paths[I]);
-        std::unique_lock<std::mutex> Lock(Mutex);
-        Slot &S = Slots[I % Window];
-        if (!Loaded.hasValue()) {
-          S.Error = diag::Status::error(Loaded.status().code(),
-                                        "shard '" + Paths[I] + "': " +
-                                            Loaded.status().message());
-          S.State = SlotState::Done;
-          SlotReady.notify_all();
-          return;
-        }
-        ++InFlightTapes;
-        Stats->MaxTapesInFlight =
-            std::max(Stats->MaxTapesInFlight, InFlightTapes);
-        LoadedTape Tape = std::move(Loaded.value());
-        if (!HaveReference) {
-          // The reference can only be established by the consumer, in
-          // Paths order; park the tape for it (or for the claim sweep).
-          S.Tape.emplace(std::move(Tape));
-          S.State = SlotState::Loaded;
-          SlotReady.notify_all();
-          return;
-        }
-        if (Tape.Meta && Tape.Meta->HasOptions &&
-            !shardMetaMatches(*Tape.Meta, Reference)) {
-          --InFlightTapes;
-          S.Error = MismatchError(Paths[I]);
-          S.State = SlotState::Done;
-          SlotReady.notify_all();
-          return;
-        }
-        // Reference known: analyse right here on the worker, overlapped
-        // with the consumer's in-order fold.
-        S.State = SlotState::Claimed;
-        const AnalysisOptions AO = Reference;
-        Lock.unlock();
-        ShardResult SR = AnalyseTape(std::move(Tape), AO);
-        Lock.lock();
-        --InFlightTapes;
-        S.Result.emplace(std::move(SR));
-        S.State = SlotState::Done;
-        SlotReady.notify_all();
-      });
-    }
-  };
-
-  std::vector<std::pair<size_t, std::string>> Deferred; // (ordinal, path)
-  std::vector<std::pair<size_t, ShardResult>> Results;  // (ordinal, result)
-
+  std::vector<ShardResult> Shards;
+  Shards.reserve(Paths.size());
+  size_t NextToSubmit = 0; // next Paths index to hand to the pool
   for (size_t I = 0; I != Paths.size(); ++I) {
-    SubmitUpTo(I + Window);
+    // No lock held here: jobs acquire Mutex, and the inline fallback
+    // runs the job on this thread.
+    for (; NextToSubmit != std::min(I + Window, Paths.size());
+         ++NextToSubmit)
+      submitOrRun(Pool, Group, [&RunJob, J = NextToSubmit] { RunJob(J); });
     std::unique_lock<std::mutex> Lock(Mutex);
     Slot &S = Slots[I % Window];
-    SlotReady.wait(Lock, [&] {
-      return S.State == SlotState::Done || S.State == SlotState::Loaded;
-    });
-    if (S.State == SlotState::Done) {
-      if (!S.Error.isOk()) {
-        // First poisoned slot in path order rejects the merge exactly
-        // as the serial loop did; DrainOnExit waits out the stragglers.
-        diag::Status E = std::move(S.Error);
-        return E;
-      }
-      Results.emplace_back(I, std::move(*S.Result));
-      ++Stats->ShardsMerged;
-      S.Result.reset();
-      S.Error = diag::Status::ok();
-      S.State = SlotState::Empty;
-      continue;
-    }
-    // Loaded is only observable pre-reference: once the reference
-    // exists, workers publish Done directly and the claim sweep below
-    // converts every parked slot before the consumer can reach it.
-    LoadedTape Tape = std::move(*S.Tape);
-    S.Tape.reset();
-    S.State = SlotState::Empty;
-    if (!(Tape.Meta && Tape.Meta->HasOptions)) {
-      // No options yet: release the tape now so the merge never holds
-      // more than the window, and reload this path in the tail phase.
-      Deferred.emplace_back(I, Paths[I]);
-      --InFlightTapes;
-      continue;
-    }
-    // First options-carrying shard in Paths order: the reference.
-    Reference = shardMetaOptions(*Tape.Meta);
-    HaveReference = true;
-    Stats->ReferencePath = Paths[I];
-    // Claim sweep: slots parked Loaded behind this one can now be
-    // analysed by workers.  A mismatch is poisoned in place — the
-    // consumer will surface it when it reaches that ordinal, matching
-    // the serial loop's first-in-path-order error.
-    std::vector<size_t> Claimed;
-    for (size_t J = I + 1; J < NextToSubmit; ++J) {
-      Slot &SJ = Slots[J % Window];
-      if (SJ.State != SlotState::Loaded)
-        continue;
-      if (SJ.Tape->Meta && SJ.Tape->Meta->HasOptions &&
-          !shardMetaMatches(*SJ.Tape->Meta, Reference)) {
-        SJ.Tape.reset();
-        --InFlightTapes;
-        SJ.Error = MismatchError(Paths[J]);
-        SJ.State = SlotState::Done;
-        continue;
-      }
-      SJ.State = SlotState::Claimed;
-      Claimed.push_back(J);
-    }
-    const AnalysisOptions AO = Reference;
-    Lock.unlock();
-    for (size_t J : Claimed) {
-      submitOrRun(Pool, Group, [&, J] {
-        std::unique_lock<std::mutex> JobLock(Mutex);
-        Slot &SJ = Slots[J % Window];
-        LoadedTape T = std::move(*SJ.Tape);
-        SJ.Tape.reset();
-        const AnalysisOptions JobAO = Reference;
-        JobLock.unlock();
-        ShardResult SR = AnalyseTape(std::move(T), JobAO);
-        JobLock.lock();
-        --InFlightTapes;
-        SJ.Result.emplace(std::move(SR));
-        SJ.State = SlotState::Done;
-        SlotReady.notify_all();
-      });
-    }
-    // The reference shard itself analyses on the consumer thread — the
-    // workers are already busy with the claimed backlog.
-    ShardResult SR = AnalyseTape(std::move(Tape), AO);
-    {
-      std::lock_guard<std::mutex> Lock2(Mutex);
-      --InFlightTapes;
-      ++Stats->ShardsMerged;
-    }
-    Results.emplace_back(I, std::move(SR));
-  }
-
-  // Tail phase: deferred META-less shards, analysed serially under the
-  // reference (or the defaults, when no shard carried options — then
-  // every shard was deferred and order is preserved trivially).
-  for (auto &[Ordinal, Path] : Deferred) {
-    diag::Expected<LoadedTape> Loaded = loadStap(Path);
-    if (!Loaded.hasValue())
-      return diag::Status::error(Loaded.status().code(),
-                                 "shard '" + Path +
-                                     "': " + Loaded.status().message());
-    ++Stats->DeferredReloads;
-    AnalysisOptions AO;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (HaveReference)
-        AO = Reference;
-    }
-    ShardResult SR = AnalyseTape(std::move(Loaded.value()), AO);
-    Results.emplace_back(Ordinal, std::move(SR));
+    SlotReady.wait(Lock, [&] { return S.Done; });
+    if (!S.Error.isOk())
+      // First poisoned slot in path order rejects the merge;
+      // DrainOnExit waits out the stragglers.
+      return std::move(S.Error);
+    Shards.push_back(std::move(*S.Result));
     ++Stats->ShardsMerged;
+    S = Slot();
   }
-
-  // mergeShards stable-sorts by shard Index; reproducing the batch
-  // loader's report bit for bit additionally needs its *input* order —
-  // Paths order — restored first, since deferred shards were appended
-  // out of line and ties on Index resolve by input position.
-  std::sort(Results.begin(), Results.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  std::vector<ShardResult> Shards;
-  Shards.reserve(Results.size());
-  for (auto &[Ordinal, SR] : Results)
-    Shards.push_back(std::move(SR));
   return mergeShards(std::move(Shards),
                      Options.Verify != ShardVerification::Off);
 }

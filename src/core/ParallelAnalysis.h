@@ -49,23 +49,6 @@ enum class ShardVerification : uint8_t {
   Full,
 };
 
-/// How a shard's recorded tape travels from its recording worker to the
-/// analysing merge.
-enum class ShardTransport : uint8_t {
-  /// The tape never leaves the worker's Analysis (the default): record,
-  /// analyse and verify all happen on the same live object.
-  InProcess,
-  /// Cross-process rehearsal over the wire format: each worker
-  /// serializes its recorded shard to a `.stap` v2 blob (in memory, or
-  /// one file per shard when a directory is given), and a second stage
-  /// deserializes each blob through the full `readStap` trust boundary
-  /// — checksum, codec caps, `verifyStructure` acceptance gate — before
-  /// adopting and analysing it.  The merged report is byte-identical to
-  /// the InProcess path; the blobs/files are exactly what a remote
-  /// recorder would ship (see tools/scorpio_shardd + scorpio_merge).
-  Stap,
-};
-
 /// How shard analyses interact with a content-addressed result cache.
 enum class CacheMode : uint8_t {
   /// Never consult or write the cache (the default).
@@ -98,33 +81,9 @@ public:
   virtual void invalidate(uint64_t /*Key*/) {}
 };
 
-/// Transport knobs for ParallelAnalysis::run().
-struct TransportOptions {
-  ShardTransport Mode = ShardTransport::InProcess;
-  /// Stap mode: write v2 per-section compression (varint/RLE).
-  bool Compress = true;
-  /// Stap mode: when non-empty, shard tapes are written to
-  /// "<Directory>/shard_<index>.stap" (the directory must exist) and
-  /// read back from disk; when empty, blobs stay in memory.
-  std::string Directory;
-  /// Result cache consulted by the Stap reload stage (and by the
-  /// streaming merge): a key hit skips adoption and every reverse sweep
-  /// for that shard.  Cached entries carry no verification findings, so
-  /// runs with \p Verify != Off bypass the cache entirely.
-  CacheMode Cache = CacheMode::Off;
-  /// The cache implementation; not owned, ignored when Cache == Off.
-  ShardResultCache *ResultCache = nullptr;
-  /// Semantic cache audit: before a key hit is served, the shard's node
-  /// stream is abstract-interpreted (verify/AbsInt.h) and the cached
-  /// per-node significances are checked against the statically derived
-  /// bounds.  An entry whose stored report violates a bound is
-  /// invalidated and the shard re-analysed — a wrong cached result is
-  /// rejected, not served.
-  bool CacheAudit = false;
-};
-
-/// Builds the META payload run() stamps into a shard tape: name, index
-/// and the recording AnalysisOptions, flattened into TapeMeta fields.
+/// Builds the META payload ParallelAnalysis::saveShards stamps into a
+/// shard tape: name, index and the recording AnalysisOptions, flattened
+/// into TapeMeta fields.
 TapeMeta makeShardMeta(const std::string &Name, uint64_t Index,
                        const AnalysisOptions &Options);
 
@@ -236,19 +195,25 @@ struct StreamingMergeOptions {
   /// count — bounds the merge's memory.
   unsigned PrefetchWindow = 4;
   /// Worker threads loading *and analysing* shards (0 = hardware
-  /// concurrency).  Once the reference options are known, workers run
-  /// the per-shard analysis themselves — the merge consumer only folds
-  /// finished results in path order — so the thread count is not capped
-  /// by the prefetch window.
+  /// concurrency).  The merge consumer only folds finished results in
+  /// path order.
   unsigned NumThreads = 0;
   /// Victim-selection seed of the shared work-stealing pool (0 = the
   /// pool default).  Any seed produces a byte-identical merged report;
   /// the determinism suite varies it to prove that.
   uint64_t StealSeed = 0;
-  /// Result cache, as in TransportOptions.
+  /// Result cache: a key hit skips adoption and every reverse sweep for
+  /// that shard.  Cached entries carry no verification findings, so
+  /// merges with \p Verify != Off bypass the cache entirely.
   CacheMode Cache = CacheMode::Off;
+  /// The cache implementation; not owned, ignored when Cache == Off.
   ShardResultCache *ResultCache = nullptr;
-  /// Semantic cache audit, as in TransportOptions::CacheAudit.
+  /// Semantic cache audit: before a key hit is served, the shard's node
+  /// stream is abstract-interpreted (verify/AbsInt.h) and the cached
+  /// per-node significances are checked against the statically derived
+  /// bounds.  An entry whose stored report violates a bound is
+  /// invalidated and the shard re-analysed — a wrong cached result is
+  /// rejected, not served.
   bool CacheAudit = false;
   /// Error-analysis backend every shard analyses under.  A merge-side
   /// choice layered on top of the META reference options — the .stap
@@ -275,15 +240,9 @@ struct StreamingMergeStats {
   /// so the entry was invalidated and the shard re-analysed (each such
   /// shard also counts as a CacheMiss).
   size_t CacheAuditRejected = 0;
-  /// META-less shards that were released and reloaded once the
-  /// reference options were known.
-  size_t DeferredReloads = 0;
   /// High-water mark of simultaneously loaded tapes; never exceeds the
   /// prefetch window.
   size_t MaxTapesInFlight = 0;
-  /// Path of the shard whose META established the reference analysis
-  /// options (empty when no shard carried options).
-  std::string ReferencePath;
 };
 
 /// Driver fanning shard record-functions over a thread pool.
@@ -343,20 +302,27 @@ public:
   /// own sub-tape/sub-graph right after analysing it, and the merge
   /// combines the per-shard reports (messages prefixed with the shard
   /// name) into ParallelAnalysisResult::verification().
-  /// \p Transport selects how shard tapes reach the analysing stage; in
-  /// Stap mode a shard whose serialization or reload fails becomes an
-  /// invalid ShardResult carrying a "transport: ..." divergence instead
-  /// of poisoning the run.
   ParallelAnalysisResult run(const AnalysisOptions &Options = {},
                              unsigned NumThreads = 0,
-                             ShardVerification Verify = ShardVerification::Off,
-                             const TransportOptions &Transport = {});
+                             ShardVerification Verify = ShardVerification::Off);
 
-  /// Analyses one deserialized shard tape exactly as the Stap-transport
-  /// merge does: adopt into a fresh Analysis, analyse, optionally
-  /// re-verify.  Name/Index come from the tape's META when present.
-  /// Adoption failure yields an invalid result with a "transport: ..."
-  /// divergence.  This is the seam tools/scorpio_merge drives.
+  /// The recording half of the cross-process pipeline: records every
+  /// shard serially on the calling thread — each in a fresh Analysis
+  /// with its size hint reserved, exactly as run()'s workers do — and
+  /// writes it as the `.stap` v2 file "<Dir>/shard_<index>.stap"
+  /// (\p Dir must exist), META-stamped by makeShardMeta with
+  /// \p Options.  Returns the written paths in shard order, or the first
+  /// write failure.  mergeStapStreaming over the returned paths
+  /// reproduces run(\p Options)'s merged report byte for byte.
+  diag::Expected<std::vector<std::string>>
+  saveShards(const std::string &Dir, const AnalysisOptions &Options = {},
+             bool Compress = true) const;
+
+  /// Analyses one deserialized shard tape exactly as the streaming merge
+  /// does: adopt into a fresh Analysis, analyse, optionally re-verify.
+  /// Name/Index come from the tape's META when present.  Adoption
+  /// failure yields an invalid result with a "transport: ..."
+  /// divergence.
   static ShardResult analyseShardTape(LoadedTape Loaded,
                                       const AnalysisOptions &Options = {},
                                       ShardVerification Verify =
@@ -368,25 +334,23 @@ public:
   static ParallelAnalysisResult mergeShards(std::vector<ShardResult> Shards,
                                             bool Verified = false);
 
-  /// Bounded-memory streaming merge of on-disk shard tapes: each path
-  /// is loaded through the loadStap trust boundary (a small prefetch
-  /// window ahead, over the shared work-stealing pool), META-checked as
-  /// it arrives, analysed (or served from the result cache) *on the
-  /// worker* once the reference options are known — analysis overlaps
-  /// the in-order fold instead of serializing behind it — and released
-  /// before the next shard is consumed.  A shard that fails mid-
-  /// pipeline still publishes its slot (poisoned, carrying the error),
-  /// so the consumer always makes progress and reports the first bad
-  /// shard in path order.  The merged report is byte-identical to
-  /// loading every tape and calling analyseShardTape + mergeShards,
-  /// including the batch semantics for shards without META options:
-  /// every shard analyses under the options of the first shard (in
-  /// \p Paths order) that carries them — META-less shards seen before
-  /// that point are released and reloaded once the reference is known —
-  /// and a directory mixing two option sets is refused, naming both the
-  /// offending path and the path that established the reference.  Any
-  /// bad shard (load failure, META mismatch) rejects the whole merge
-  /// with an error Status, without every tape having been resident.
+  /// Bounded-memory streaming merge of on-disk shard tapes, the only
+  /// engine that turns `.stap` shards into a merged report.  Every
+  /// shard analyses under the reference options recorded in
+  /// \p Paths[0]'s META, read before any work is submitted.  Each path
+  /// is then loaded through the loadStap trust boundary (a small
+  /// prefetch window ahead, over the shared work-stealing pool),
+  /// META-checked, analysed (or served from the result cache) on the
+  /// worker, and released before the consumer folds the next shard in
+  /// path order.  A shard without META options, or one recorded under
+  /// options other than the reference, is refused — never analysed,
+  /// never stored — with an error Status naming its path (and, for a
+  /// mismatch, \p Paths[0]).  A shard that fails mid-pipeline still
+  /// publishes its slot (poisoned, carrying the error), so the consumer
+  /// always makes progress and reports the first bad shard in path
+  /// order, without every tape having been resident.  The merged report
+  /// is byte-identical to loading every tape and calling
+  /// analyseShardTape + mergeShards.
   static diag::Expected<ParallelAnalysisResult>
   mergeStapStreaming(const std::vector<std::string> &Paths,
                      const StreamingMergeOptions &Options = {},
@@ -419,8 +383,9 @@ private:
   static void analyseWorker(Analysis &A, ShardResult &Slot,
                             const AnalysisOptions &Options,
                             ShardVerification Verify);
-  /// Marks \p Slot invalid with a shard-local "transport: ..." divergence.
-  static void transportFailure(ShardResult &Slot, const diag::Status &S);
+  /// Records shard \p Index into \p A, the current Analysis of the
+  /// calling thread: run()'s workers and saveShards share it.
+  void recordShard(size_t Index, Analysis &A) const;
 };
 
 } // namespace scorpio

@@ -4,8 +4,9 @@
 // is a pure function of the shard list and the analysis options —
 // never of the schedule.  This suite pins that down the hard way:
 // every registry kernel as a shard, at 1/2/4/8 worker threads, across
-// distinct steal seeds, in-process and over the Stap transport, and
-// demands byte-for-byte identity with the single-threaded run.  It is
+// distinct steal seeds, in-process and through saveShards + the
+// streaming merge, and demands byte-for-byte identity with the
+// single-threaded run.  It is
 // the suite the TSan CI leg runs to flush scheduler races.
 //
 //===----------------------------------------------------------------------===//
@@ -56,12 +57,38 @@ ParallelAnalysis makeRegistryDriver() {
   return P;
 }
 
-std::string runJson(unsigned NumThreads, uint64_t Seed,
-                    const TransportOptions &Transport = {}) {
+std::string runJson(unsigned NumThreads, uint64_t Seed) {
   ParallelAnalysis P = makeRegistryDriver();
   P.setStealSeed(Seed);
   std::ostringstream OS;
-  P.run({}, NumThreads, ShardVerification::Off, Transport).writeJson(OS);
+  P.run({}, NumThreads).writeJson(OS);
+  return OS.str();
+}
+
+/// The registry shards written once by saveShards into \p Dir.
+std::vector<std::string> saveRegistryShards(const std::string &Dir,
+                                            bool Compress) {
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  diag::Expected<std::vector<std::string>> Paths =
+      makeRegistryDriver().saveShards(Dir, {}, Compress);
+  EXPECT_TRUE(Paths.hasValue()) << Paths.status().message();
+  return Paths.valueOr({});
+}
+
+/// The streaming merge of \p Paths on \p NumThreads workers.
+std::string streamJson(const std::vector<std::string> &Paths,
+                       unsigned NumThreads, uint64_t Seed) {
+  StreamingMergeOptions Options;
+  Options.NumThreads = NumThreads;
+  Options.StealSeed = Seed;
+  diag::Expected<ParallelAnalysisResult> R =
+      ParallelAnalysis::mergeStapStreaming(Paths, Options);
+  EXPECT_TRUE(R.hasValue()) << R.status().message();
+  if (!R.hasValue())
+    return {};
+  std::ostringstream OS;
+  R.value().writeJson(OS);
   return OS.str();
 }
 
@@ -75,38 +102,30 @@ TEST(Determinism, RegistryKernelsInProcessAllThreadCountsAndSeeds) {
 }
 
 TEST(Determinism, RegistryKernelsStapTransportMatchesInProcess) {
+  // Compressed and raw tapes, merged at every worker width.
   const std::string Reference = runJson(1, 0);
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  for (const unsigned N : Threads)
-    EXPECT_EQ(Reference, runJson(N, /*Seed=*/0, Stap)) << "threads=" << N;
+  const std::string Dir = ::testing::TempDir() + "/scorpio_determinism_wire";
+  for (const bool Compress : {true, false}) {
+    const std::vector<std::string> Paths = saveRegistryShards(Dir, Compress);
+    for (const unsigned N : Threads)
+      EXPECT_EQ(Reference, streamJson(Paths, N, /*Seed=*/0))
+          << "threads=" << N << " compress=" << Compress;
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(Determinism, StapDirectoryStreamsIdenticallyAtEveryWidth) {
   // One recording, merged by the streaming consumer at every worker
-  // width: the pipelined verify/merge overlap must not perturb a byte.
+  // width and steal seed: the pipelined verify/merge overlap must not
+  // perturb a byte.
+  const std::string Reference = runJson(1, 0);
   const std::string Dir =
       ::testing::TempDir() + "/scorpio_determinism_shards";
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  Stap.Directory = Dir;
-  const std::string Reference = runJson(1, 0, Stap);
-
-  diag::Expected<std::vector<std::string>> Paths = listStapShards(Dir);
-  ASSERT_TRUE(Paths.hasValue()) << Paths.status().message();
-  for (const unsigned N : Threads) {
-    StreamingMergeOptions Options;
-    Options.NumThreads = N;
-    Options.StealSeed = 1234 + N;
-    diag::Expected<ParallelAnalysisResult> R =
-        ParallelAnalysis::mergeStapStreaming(Paths.value(), Options);
-    ASSERT_TRUE(R.hasValue()) << R.status().message();
-    std::ostringstream OS;
-    R.value().writeJson(OS);
-    EXPECT_EQ(Reference, OS.str()) << "threads=" << N;
-  }
+  const std::vector<std::string> Paths = saveRegistryShards(Dir, true);
+  for (const unsigned N : Threads)
+    for (const uint64_t Seed : Seeds)
+      EXPECT_EQ(Reference, streamJson(Paths, N, Seed))
+          << "threads=" << N << " seed=" << Seed;
   std::filesystem::remove_all(Dir);
 }
 

@@ -367,6 +367,12 @@ struct ContainmentCase {
   double LoA, HiA, LoB, HiB;
 };
 
+/// gtest prints a parameter that has no printer as its raw bytes, and
+/// ctest puts that dump into the test's name.  The case holds pointers,
+/// whose values move with every load address, so it prints its op name
+/// instead and each test keeps the same name from run to run.
+void PrintTo(const ContainmentCase &C, std::ostream *OS) { *OS << C.Name; }
+
 double addS(double A, double B) { return A + B; }
 double subS(double A, double B) { return A - B; }
 double mulS(double A, double B) { return A * B; }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 using namespace scorpio;
@@ -439,58 +440,79 @@ TEST(ParallelAnalysis, OptionsNumThreadsAndStealSeedDoNotChangeOutput) {
 }
 
 //===--------------------------------------------------------------------===//
-// Poisoned-slot protocol (fault injection)
+// Shard pipeline faults: saveShards -> .stap -> mergeStapStreaming
 //===--------------------------------------------------------------------===//
 
-TEST(ShardTransportFault, FailedSerializePoisonsOneShardNotTheRun) {
-  // The armed writeStap check fails exactly one shard's serialize
-  // (which shard is schedule-dependent even at one thread — the worker
-  // races the submitting loop).  The pipelined run must publish that
-  // shard's slot as a transport failure and complete the rest.
+/// Self-cleaning scratch directory under the gtest temp root.
+struct TempDir {
+  std::string Path;
+  explicit TempDir(const std::string &Name)
+      : Path(::testing::TempDir() + "/" + Name) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~TempDir() { std::filesystem::remove_all(Path); }
+};
+
+std::string jsonOf(const ParallelAnalysisResult &R) {
+  std::ostringstream OS;
+  R.writeJson(OS);
+  return OS.str();
+}
+
+TEST(ShardPipelineFault, FailedSerializeFailsSaveShardsNamingTheShard) {
+  // saveShards records and writes serially on the calling thread, so
+  // the armed writeStap fault deterministically hits shard 0, and the
+  // error names the file it could not write.
   ParallelAnalysis P;
   for (int I = 0; I != 4; ++I)
     P.addShard("s" + std::to_string(I),
                [I] { recordAffine(2.0, 1.0 * I); });
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
+  TempDir Dir("scorpio_pipeline_fault_write");
   diag::DiagTestHook::arm("writeStap: output stream write failed", 1);
-  const ParallelAnalysisResult R =
-      P.run({}, /*NumThreads=*/1, ShardVerification::Off, Stap);
+  diag::Expected<std::vector<std::string>> Failed = P.saveShards(Dir.Path);
   diag::DiagTestHook::disarm();
-  EXPECT_FALSE(R.isValid());
-  ASSERT_EQ(R.shards().size(), 4u);
-  ASSERT_EQ(R.divergences().size(), 1u);
-  EXPECT_NE(R.divergences()[0].find(": transport: "), std::string::npos)
-      << R.divergences()[0];
-  // The three surviving shards carry real reports.
-  size_t Healthy = 0;
-  for (const ShardResult &S : R.shards())
-    if (S.Result.outputSignificance() > 0.0)
-      ++Healthy;
-  EXPECT_EQ(Healthy, 3u);
+  ASSERT_FALSE(Failed.hasValue());
+  EXPECT_NE(Failed.status().message().find(Dir.Path + "/shard_000000.stap"),
+            std::string::npos)
+      << Failed.status().message();
+
+  // With the fault gone the same driver writes every shard, and the
+  // streaming merge over them reproduces the in-process run.
+  diag::Expected<std::vector<std::string>> Paths = P.saveShards(Dir.Path);
+  ASSERT_TRUE(Paths.hasValue()) << Paths.status().message();
+  ASSERT_EQ(Paths.value().size(), 4u);
+  diag::Expected<ParallelAnalysisResult> Merged =
+      ParallelAnalysis::mergeStapStreaming(Paths.value());
+  ASSERT_TRUE(Merged.hasValue()) << Merged.status().message();
+  EXPECT_EQ(jsonOf(P.run({}, 1)), jsonOf(Merged.value()));
 }
 
-TEST(ShardTransportFault, FailedSerializeUnderThreadsStillTerminates) {
-  // Under a threaded schedule any one shard may hit the armed site; the
-  // run must terminate (no stalled pipeline stage) with exactly one
-  // poisoned shard.
+TEST(ShardPipelineFault, TruncatedShardUnderThreadsStillTerminates) {
+  // A shard truncated mid-file after saveShards wrote it: under every
+  // worker count and window the merge must terminate (no slot left
+  // unpublished) and reject with the truncated shard's path.
   ParallelAnalysis P;
   for (int I = 0; I != 12; ++I)
     P.addShard("s" + std::to_string(I),
                [I] { recordAffine(1.5, 0.5 * I); });
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  diag::DiagTestHook::arm("writeStap: output stream write failed", 1);
-  const ParallelAnalysisResult R =
-      P.run({}, /*NumThreads=*/4, ShardVerification::Off, Stap);
-  diag::DiagTestHook::disarm();
-  EXPECT_FALSE(R.isValid());
-  ASSERT_EQ(R.shards().size(), 12u);
-  size_t Poisoned = 0;
-  for (const std::string &D : R.divergences())
-    if (D.find("transport: ") != std::string::npos)
-      ++Poisoned;
-  EXPECT_EQ(Poisoned, 1u);
+  TempDir Dir("scorpio_pipeline_fault_truncate");
+  diag::Expected<std::vector<std::string>> Paths = P.saveShards(Dir.Path);
+  ASSERT_TRUE(Paths.hasValue()) << Paths.status().message();
+  const std::string Victim = Paths.value()[5];
+  std::filesystem::resize_file(Victim,
+                               std::filesystem::file_size(Victim) / 2);
+  for (const unsigned Threads : {1u, 4u})
+    for (const unsigned Window : {1u, 4u, 12u}) {
+      StreamingMergeOptions Options;
+      Options.NumThreads = Threads;
+      Options.PrefetchWindow = Window;
+      diag::Expected<ParallelAnalysisResult> R =
+          ParallelAnalysis::mergeStapStreaming(Paths.value(), Options);
+      ASSERT_FALSE(R.hasValue());
+      EXPECT_NE(R.status().message().find(Victim), std::string::npos)
+          << R.status().message();
+    }
 }
 
 TEST(ShardVerificationMode, SobelTilesForwardTheKnob) {

@@ -7,8 +7,8 @@
 // cache must serve a repeat merge without a single reverse sweep, and
 // every corrupted/invalidated entry must degrade to a miss, never a
 // wrong result.  Also covers the merge-CLI correctness seams: the
-// reference-path META diagnostic, saveJson sink checking and the
-// explicit-increment directory scanner.
+// refusal of META-less and mismatched shards, saveJson sink checking
+// and the explicit-increment directory scanner.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,12 +67,11 @@ std::string recordRegistryShards(const std::string &Dir,
     P.addShard(Name,
                [K] { K->Analyse(Analysis::current(), K->DefaultRanges); });
   }
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  Stap.Compress = Compress;
-  Stap.Directory = Dir;
+  diag::Expected<std::vector<std::string>> Paths =
+      P.saveShards(Dir, {}, Compress);
+  EXPECT_TRUE(Paths.hasValue()) << Paths.status().message();
   std::ostringstream OS;
-  P.run({}, /*NumThreads=*/4, ShardVerification::Off, Stap).writeJson(OS);
+  P.run({}, /*NumThreads=*/4).writeJson(OS);
   return OS.str();
 }
 
@@ -149,8 +148,6 @@ TEST_F(StreamingMergeTest, StreamingIsByteIdenticalOnAllRegistryKernels) {
     EXPECT_EQ(Stats.ShardsMerged, Paths.value().size());
     EXPECT_EQ(Stats.Analysed, Paths.value().size());
     EXPECT_EQ(Stats.CacheHits, 0u);
-    EXPECT_EQ(Stats.DeferredReloads, 0u);
-    EXPECT_FALSE(Stats.ReferencePath.empty());
   }
 }
 
@@ -214,66 +211,92 @@ TEST_F(StreamingMergeTest, MidStreamLoadFailureDoesNotStallThePipeline) {
 }
 
 //===----------------------------------------------------------------------===//
-// META reference semantics (the scorpio_merge Paths[0] regression)
+// META reference semantics: Paths[0] sets the options, the rest must match
 //===----------------------------------------------------------------------===//
 
-TEST_F(StreamingMergeTest, MetaMismatchNamesTheActualReferencePath) {
-  TempDir Dir("scorpio_stream_metamix");
-  // Alphabetically first shard has no META: the old scanner reported
-  // Paths[0] as the reference, which is exactly wrong here.
-  writeSquareShard(Dir.Path + "/a_nometa.stap", 1.0, 2.0, nullptr);
-  const TapeMeta RefMeta = makeShardMeta("ref", 1, {});
-  writeSquareShard(Dir.Path + "/b_ref.stap", 1.0, 2.0, &RefMeta);
-  AnalysisOptions Other;
-  Other.Delta = 0.25; // differs from the defaults
-  const TapeMeta OtherMeta = makeShardMeta("other", 2, Other);
-  writeSquareShard(Dir.Path + "/c_other.stap", 1.0, 2.0, &OtherMeta);
-
-  diag::Expected<ParallelAnalysisResult> R =
-      ParallelAnalysis::mergeStapStreaming(
-          listStapShards(Dir.Path).valueOr({}));
-  ASSERT_FALSE(R.hasValue());
-  // The offending shard and the shard that actually established the
-  // reference options — not the alphabetically-first path.
-  EXPECT_NE(R.status().message().find("c_other.stap"), std::string::npos)
-      << R.status().message();
-  EXPECT_NE(R.status().message().find("b_ref.stap"), std::string::npos)
-      << R.status().message();
-  EXPECT_EQ(R.status().message().find("a_nometa.stap"), std::string::npos)
-      << R.status().message();
+/// Writes \p Count META-stamped square shards "<Dir>/s<i>.stap" under
+/// the default options and returns their paths in order.
+std::vector<std::string> writeSquareShards(const std::string &Dir,
+                                           int Count) {
+  std::vector<std::string> Paths;
+  for (int I = 0; I != Count; ++I) {
+    const TapeMeta Meta =
+        makeShardMeta("sq" + std::to_string(I), static_cast<uint64_t>(I), {});
+    Paths.push_back(Dir + "/s" + std::to_string(I) + ".stap");
+    writeSquareShard(Paths.back(), 1.0 + I, 2.0 + I, &Meta);
+  }
+  return Paths;
 }
 
-TEST_F(StreamingMergeTest, DeferredMetalessShardsMatchBatchSemantics) {
-  TempDir Dir("scorpio_stream_defer");
-  // META-less shards sort before the option-carrying one, so the
-  // streaming merge must defer them, then reload under the reference.
-  writeSquareShard(Dir.Path + "/a.stap", 1.0, 2.0, nullptr);
-  writeSquareShard(Dir.Path + "/b.stap", 3.0, 4.0, nullptr);
-  AnalysisOptions NonDefault;
-  NonDefault.Mode = AnalysisOptions::OutputMode::PerOutput;
-  NonDefault.Delta = 0.125;
-  const TapeMeta Meta = makeShardMeta("carrier", 0, NonDefault);
-  writeSquareShard(Dir.Path + "/c.stap", 5.0, 6.0, &Meta);
+/// True when \p Cache holds an entry for the shard at \p Path, keyed as
+/// the merge would key it under the default recording options.
+bool hasEntryFor(const std::string &Cache, const std::string &Path) {
+  diag::Expected<LoadedTape> L = loadStap(Path);
+  EXPECT_TRUE(L.hasValue()) << L.status().message();
+  return L.hasValue() &&
+         std::filesystem::exists(
+             Cache + "/" +
+             service::ResultCache::entryFileName(shardCacheKey(L.value(), {})));
+}
 
-  const std::vector<std::string> Paths =
-      listStapShards(Dir.Path).valueOr({});
-  StreamingMergeStats Stats;
-  const std::string Streamed = streamJson(Paths, {}, &Stats);
-  EXPECT_EQ(batchMergeJson(Paths), Streamed);
-  EXPECT_EQ(Stats.DeferredReloads, 2u);
-  EXPECT_EQ(Stats.ReferencePath, Dir.Path + "/c.stap");
+TEST_F(StreamingMergeTest, MetaMismatchNamesTheActualReferencePath) {
+  TempDir Shards("scorpio_stream_metamix");
+  TempDir Cache("scorpio_stream_metamix_cache");
+  std::vector<std::string> Paths = writeSquareShards(Shards.Path, 6);
+  // A mid-stream shard recorded under other options, behind a window of
+  // healthy shards that workers analyse and store concurrently.
+  AnalysisOptions Other;
+  Other.Delta = 0.25; // differs from the defaults
+  const TapeMeta OtherMeta = makeShardMeta("sq3", 3, Other);
+  writeSquareShard(Paths[3], 4.0, 5.0, &OtherMeta);
 
-  // All META-less: everything defers and analyses under the defaults.
-  TempDir Plain("scorpio_stream_defer_all");
-  writeSquareShard(Plain.Path + "/a.stap", 1.0, 2.0, nullptr);
-  writeSquareShard(Plain.Path + "/b.stap", 3.0, 4.0, nullptr);
-  const std::vector<std::string> PlainPaths =
-      listStapShards(Plain.Path).valueOr({});
-  StreamingMergeStats PlainStats;
-  EXPECT_EQ(batchMergeJson(PlainPaths),
-            streamJson(PlainPaths, {}, &PlainStats));
-  EXPECT_EQ(PlainStats.DeferredReloads, 2u);
-  EXPECT_TRUE(PlainStats.ReferencePath.empty());
+  for (const unsigned Threads : {1u, 4u}) {
+    service::ResultCache RC(Cache.Path);
+    StreamingMergeOptions Options;
+    Options.NumThreads = Threads;
+    Options.Cache = CacheMode::ReadWrite;
+    Options.ResultCache = &RC;
+    diag::Expected<ParallelAnalysisResult> R =
+        ParallelAnalysis::mergeStapStreaming(Paths, Options);
+    ASSERT_FALSE(R.hasValue());
+    // The offending shard and the reference, Paths[0] — no bystander.
+    const std::string &Msg = R.status().message();
+    EXPECT_NE(Msg.find(Paths[3]), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find(Paths[0]), std::string::npos) << Msg;
+    EXPECT_EQ(Msg.find(Paths[2]), std::string::npos) << Msg;
+    // The refused shard was never analysed, so never stored; at most
+    // the five healthy shards were.
+    EXPECT_FALSE(hasEntryFor(Cache.Path, Paths[3]));
+    EXPECT_LE(RC.stats().Stores, Paths.size() - 1);
+  }
+}
+
+TEST_F(StreamingMergeTest, MetalessShardIsRefusedFirstOrMidStream) {
+  for (const size_t Bad : {size_t(0), size_t(3)}) {
+    TempDir Shards("scorpio_stream_nometa");
+    TempDir Cache("scorpio_stream_nometa_cache");
+    std::vector<std::string> Paths = writeSquareShards(Shards.Path, 6);
+    writeSquareShard(Paths[Bad], 9.0, 10.0, /*Meta=*/nullptr);
+    // The loader still accepts a META-less tape; only the merge refuses.
+    ASSERT_TRUE(loadStap(Paths[Bad]).hasValue());
+
+    for (const unsigned Threads : {1u, 4u}) {
+      service::ResultCache RC(Cache.Path);
+      StreamingMergeOptions Options;
+      Options.NumThreads = Threads;
+      Options.Cache = CacheMode::ReadWrite;
+      Options.ResultCache = &RC;
+      diag::Expected<ParallelAnalysisResult> R =
+          ParallelAnalysis::mergeStapStreaming(Paths, Options);
+      ASSERT_FALSE(R.hasValue()) << "bad=" << Bad;
+      const std::string &Msg = R.status().message();
+      EXPECT_NE(Msg.find(Paths[Bad]), std::string::npos) << Msg;
+      EXPECT_NE(Msg.find("META"), std::string::npos) << Msg;
+      EXPECT_FALSE(hasEntryFor(Cache.Path, Paths[Bad]));
+      // A META-less Paths[0] leaves no reference: nothing is analysed.
+      EXPECT_LE(RC.stats().Stores, Bad == 0 ? 0u : Paths.size() - 1);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,32 +333,6 @@ TEST_F(StreamingMergeTest, WarmCacheIsByteIdenticalWithoutAnySweep) {
   EXPECT_EQ(Warm.CacheHits, N);
   EXPECT_EQ(Warm.CacheMisses, 0u);
   EXPECT_EQ(Warm.Analysed, 0u);
-}
-
-TEST_F(StreamingMergeTest, RunStapTransportUsesTheCacheToo) {
-  TempDir Cache("scorpio_cache_runstap");
-  service::ResultCache RC(Cache.Path);
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  Stap.Cache = CacheMode::ReadWrite;
-  Stap.ResultCache = &RC;
-
-  const auto Run = [&] {
-    ParallelAnalysis P;
-    P.addShard("square", [] {
-      Analysis &A = Analysis::current();
-      IAValue X = A.input("x", 1.0, 2.0);
-      IAValue Y = X * X;
-      A.registerOutput(Y, "y");
-    });
-    std::ostringstream OS;
-    P.run({}, 1, ShardVerification::Off, Stap).writeJson(OS);
-    return OS.str();
-  };
-  const std::string First = Run();
-  EXPECT_EQ(RC.stats().Stores, 1u);
-  EXPECT_EQ(First, Run());
-  EXPECT_EQ(RC.stats().Hits, 1u);
 }
 
 TEST_F(StreamingMergeTest, VerificationBypassesTheCache) {
@@ -718,8 +715,16 @@ TEST_F(StreamingMergeTest, CacheBudgetEvictsLeastRecentlyUsedEntries) {
   StreamingMergeOptions Options;
   Options.Cache = CacheMode::ReadWrite;
   Options.ResultCache = &RC;
+  // The cold merge stores strictly in path order: one worker and a
+  // one-tape window leave a single shard in flight at a time, so
+  // Paths.back() is the last entry stored by construction.  Concurrent
+  // workers store in any order, and eviction breaks coarse-mtime ties
+  // arbitrarily.
+  StreamingMergeOptions Serial = Options;
+  Serial.NumThreads = 1;
+  Serial.PrefetchWindow = 1;
   StreamingMergeStats Cold;
-  EXPECT_EQ(Reference, streamJson(Paths, Options, &Cold));
+  EXPECT_EQ(Reference, streamJson(Paths, Serial, &Cold));
   EXPECT_EQ(Cold.CacheMisses, 6u);
   EXPECT_EQ(RC.stats().Stores, 6u);
   EXPECT_GE(RC.stats().Evictions, 3u);

@@ -1,12 +1,13 @@
 //===- tests/transport_test.cpp - Cross-process shard transport tests -----===//
 //
-// The ISSUE-5 contract: ParallelAnalysis's Stap transport mode (record
-// in workers, serialize every shard to a `.stap` v2 blob, reload each
-// through the full trust boundary, re-analyse, merge) must produce a
-// merged report byte-identical to the in-process path — on every
-// registry kernel, with compression on, in memory and on disk — and
-// failures of the transport itself must degrade to a per-shard
-// "transport: ..." divergence, never UB or a half-merged report.
+// The cross-process contract: recording every shard to a `.stap` v2
+// file (ParallelAnalysis::saveShards), then reloading each through the
+// full trust boundary, re-analysing and merging it
+// (ParallelAnalysis::mergeStapStreaming) must produce a merged report
+// byte-identical to the in-process run() — on every registry kernel,
+// compressed and raw, with and without re-verification — and a failed
+// write must surface as an error naming the shard file, never as a
+// half-written directory that claims success.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -57,61 +57,90 @@ std::string mergedJson(const ParallelAnalysisResult &R) {
   return OS.str();
 }
 
-/// Runs the registry shard set under \p Transport and returns the
-/// merged JSON.
-std::string runRegistry(const TransportOptions &Transport,
-                        ShardVerification Verify = ShardVerification::Off) {
-  ParallelAnalysis P;
-  addRegistryShards(P);
-  return mergedJson(P.run({}, /*NumThreads=*/4, Verify, Transport));
+/// Self-cleaning scratch directory under the gtest temp root.
+struct TempDir {
+  std::string Path;
+  explicit TempDir(const std::string &Name)
+      : Path(::testing::TempDir() + "/" + Name) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~TempDir() { std::filesystem::remove_all(Path); }
+};
+
+/// The in-process merged report of \p P.
+std::string runJson(ParallelAnalysis &P,
+                    ShardVerification Verify = ShardVerification::Off) {
+  return mergedJson(P.run({}, /*NumThreads=*/4, Verify));
+}
+
+/// \p P's shards written by saveShards into a fresh directory, then
+/// merged by mergeStapStreaming: the cross-process pipeline in one
+/// process.  The directory is named after the running test, since ctest
+/// runs the tests of this binary concurrently.
+std::string viaStap(const ParallelAnalysis &P, bool Compress = true,
+                    ShardVerification Verify = ShardVerification::Off) {
+  TempDir Dir(
+      std::string("scorpio_transport_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  diag::Expected<std::vector<std::string>> Paths =
+      P.saveShards(Dir.Path, {}, Compress);
+  EXPECT_TRUE(Paths.hasValue()) << Paths.status().message();
+  if (!Paths.hasValue())
+    return {};
+  StreamingMergeOptions Options;
+  Options.NumThreads = 4;
+  Options.Verify = Verify;
+  diag::Expected<ParallelAnalysisResult> R =
+      ParallelAnalysis::mergeStapStreaming(Paths.value(), Options);
+  EXPECT_TRUE(R.hasValue()) << R.status().message();
+  return R.hasValue() ? mergedJson(R.value()) : std::string();
 }
 
 TEST_F(TransportTest, StapTransportIsByteIdenticalOnAllRegistryKernels) {
-  const std::string InProcess = runRegistry({});
-
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap; // in-memory blobs, compression on
-  EXPECT_EQ(InProcess, runRegistry(Stap));
-
-  TransportOptions Raw = Stap;
-  Raw.Compress = false;
-  EXPECT_EQ(InProcess, runRegistry(Raw));
+  ParallelAnalysis P;
+  addRegistryShards(P);
+  const std::string InProcess = runJson(P);
+  EXPECT_EQ(InProcess, viaStap(P, /*Compress=*/true));
+  EXPECT_EQ(InProcess, viaStap(P, /*Compress=*/false));
 }
 
 TEST_F(TransportTest, DirectoryTransportIsByteIdenticalAndLeavesTapes) {
-  const std::string Dir = ::testing::TempDir() + "/scorpio_transport_dir";
-  std::filesystem::remove_all(Dir);
-  ASSERT_TRUE(std::filesystem::create_directory(Dir));
+  TempDir Dir("scorpio_transport_dir");
+  ParallelAnalysis P;
+  addRegistryShards(P);
+  diag::Expected<std::vector<std::string>> Paths = P.saveShards(Dir.Path);
+  ASSERT_TRUE(Paths.hasValue()) << Paths.status().message();
+  // One file per shard, in shard order, under the one shard file name.
+  ASSERT_EQ(Paths.value().size(), P.numShards());
+  EXPECT_EQ(Paths.value()[0], Dir.Path + "/shard_000000.stap");
+  EXPECT_EQ(listStapShards(Dir.Path).valueOr({}), Paths.value());
 
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  Stap.Directory = Dir;
-  const std::string ViaDisk = runRegistry(Stap);
-  EXPECT_EQ(runRegistry({}), ViaDisk);
-
-  // One .stap file per registry kernel remains on disk, each loadable
-  // through the trust boundary with its META intact — this is exactly
-  // what scorpio_merge consumes.
-  size_t Count = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
-    ASSERT_EQ(Entry.path().extension(), ".stap");
-    diag::Expected<LoadedTape> Loaded = loadStap(Entry.path().string());
+  // Each file loads through the trust boundary with its META intact —
+  // exactly what scorpio_merge consumes.
+  for (size_t I = 0; I != Paths.value().size(); ++I) {
+    diag::Expected<LoadedTape> Loaded = loadStap(Paths.value()[I]);
     ASSERT_TRUE(Loaded.hasValue()) << Loaded.status().message();
     ASSERT_TRUE(Loaded.value().Meta.has_value());
     EXPECT_TRUE(Loaded.value().Meta->HasOptions);
-    ++Count;
+    EXPECT_EQ(Loaded.value().Meta->ShardIndex, I);
   }
-  EXPECT_EQ(Count, KernelRegistry::global().names().size());
-  std::filesystem::remove_all(Dir);
+  diag::Expected<ParallelAnalysisResult> R =
+      ParallelAnalysis::mergeStapStreaming(Paths.value());
+  ASSERT_TRUE(R.hasValue()) << R.status().message();
+  EXPECT_EQ(runJson(P), mergedJson(R.value()));
 }
 
 TEST_F(TransportTest, TransportPreservesVerificationFindings) {
-  EXPECT_EQ(runRegistry({}, ShardVerification::Incremental),
-            runRegistry({ShardTransport::Stap, /*Compress=*/true, {}},
-                        ShardVerification::Incremental));
+  ParallelAnalysis P;
+  addRegistryShards(P);
+  EXPECT_EQ(runJson(P, ShardVerification::Incremental),
+            viaStap(P, /*Compress=*/true, ShardVerification::Incremental));
 }
 
 TEST_F(TransportTest, UnwritableDirectoryBecomesTransportDivergence) {
+  // The transport failure now surfaces where it happens: saveShards
+  // refuses with an error naming the shard file it could not write.
   ParallelAnalysis P;
   P.addShard("affine", [] {
     Analysis &A = Analysis::current();
@@ -119,14 +148,12 @@ TEST_F(TransportTest, UnwritableDirectoryBecomesTransportDivergence) {
     IAValue Y = X * 3.0;
     A.registerOutput(Y, "y");
   });
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  Stap.Directory = ::testing::TempDir() + "/scorpio-no-such-dir-xyzzy";
-  const ParallelAnalysisResult R = P.run({}, 1, ShardVerification::Off, Stap);
-  EXPECT_FALSE(R.isValid());
-  ASSERT_EQ(R.divergences().size(), 1u);
-  EXPECT_NE(R.divergences()[0].find("affine: transport:"), std::string::npos)
-      << R.divergences()[0];
+  const std::string Dir = ::testing::TempDir() + "/scorpio-no-such-dir-xyzzy";
+  diag::Expected<std::vector<std::string>> Paths = P.saveShards(Dir);
+  ASSERT_FALSE(Paths.hasValue());
+  EXPECT_NE(Paths.status().message().find(Dir + "/shard_000000.stap"),
+            std::string::npos)
+      << Paths.status().message();
 }
 
 TEST_F(TransportTest, AnalyseShardTapeReplaysMetaIdentity) {
@@ -210,36 +237,22 @@ TEST_F(TransportTest, MetaOptionHelpersRoundTrip) {
   EXPECT_EQ(Back.SignificanceCap, Options.SignificanceCap);
 }
 
-TEST_F(TransportTest, ZeroShardsWithTransportIsValidAndEmpty) {
-  ParallelAnalysis P;
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  const ParallelAnalysisResult R = P.run({}, 0, ShardVerification::Off, Stap);
-  EXPECT_TRUE(R.isValid());
-  EXPECT_TRUE(R.shards().empty());
-  EXPECT_TRUE(R.variables().empty());
-  EXPECT_EQ(R.outputSignificance(), 0.0);
-}
-
 TEST_F(TransportTest, NoOutputShardIsValidButEmptyInBothModes) {
-  auto Run = [](const TransportOptions &Transport) {
-    ParallelAnalysis P;
-    P.addShard("silent", [] {
-      // Records work but never registers an output.
-      Analysis &A = Analysis::current();
-      IAValue X = A.input("x", 1.0, 2.0);
-      IAValue Y = X * X;
-      A.registerIntermediate(Y, "unused");
-    });
-    P.addShard("real", [] {
-      Analysis &A = Analysis::current();
-      IAValue X = A.input("x", 1.0, 2.0);
-      A.registerOutput(X * 2.0, "y");
-    });
-    return P.run({}, 1, ShardVerification::Off, Transport);
-  };
+  ParallelAnalysis P;
+  P.addShard("silent", [] {
+    // Records work but never registers an output.
+    Analysis &A = Analysis::current();
+    IAValue X = A.input("x", 1.0, 2.0);
+    IAValue Y = X * X;
+    A.registerIntermediate(Y, "unused");
+  });
+  P.addShard("real", [] {
+    Analysis &A = Analysis::current();
+    IAValue X = A.input("x", 1.0, 2.0);
+    A.registerOutput(X * 2.0, "y");
+  });
 
-  const ParallelAnalysisResult InProcess = Run({});
+  const ParallelAnalysisResult InProcess = P.run({}, 1);
   // The empty shard neither invalidates the merge nor fabricates a
   // divergence; the real shard's contribution is intact.
   EXPECT_TRUE(InProcess.isValid())
@@ -250,31 +263,24 @@ TEST_F(TransportTest, NoOutputShardIsValidButEmptyInBothModes) {
   EXPECT_EQ(InProcess.shards()[0].Result.outputSignificance(), 0.0);
   EXPECT_NE(InProcess.find("real/y"), nullptr);
   EXPECT_GT(InProcess.outputSignificance(), 0.0);
-
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  EXPECT_EQ(mergedJson(InProcess), mergedJson(Run(Stap)));
+  EXPECT_EQ(mergedJson(InProcess), viaStap(P));
 }
 
 TEST_F(TransportTest, DivergedShardStaysDivergedThroughTransport) {
-  auto Run = [](const TransportOptions &Transport) {
-    ParallelAnalysis P;
-    P.addShard("branchy", [] {
-      Analysis &A = Analysis::current();
-      IAValue X = A.input("x", 0.0, 2.0);
-      IAValue Y = A.input("y", 1.0, 3.0);
-      (void)(X < Y); // ambiguous: diverges
-      A.registerOutput(X + Y, "z");
-    });
-    return P.run({}, 1, ShardVerification::Off, Transport);
-  };
-  const ParallelAnalysisResult InProcess = Run({});
+  ParallelAnalysis P;
+  P.addShard("branchy", [] {
+    Analysis &A = Analysis::current();
+    IAValue X = A.input("x", 0.0, 2.0);
+    IAValue Y = A.input("y", 1.0, 3.0);
+    (void)(X < Y); // ambiguous: diverges
+    A.registerOutput(X + Y, "z");
+  });
+  const ParallelAnalysisResult InProcess = P.run({}, 1);
   EXPECT_FALSE(InProcess.isValid());
-  TransportOptions Stap;
-  Stap.Mode = ShardTransport::Stap;
-  const ParallelAnalysisResult Transported = Run(Stap);
-  EXPECT_FALSE(Transported.isValid());
-  EXPECT_EQ(mergedJson(InProcess), mergedJson(Transported));
+  const std::string Transported = viaStap(P);
+  EXPECT_NE(Transported.find("\"valid\":false"), std::string::npos)
+      << Transported;
+  EXPECT_EQ(mergedJson(InProcess), Transported);
 }
 
 } // namespace

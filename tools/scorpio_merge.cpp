@@ -8,13 +8,14 @@
 /// \file
 /// The merging half of the cross-process pipeline: streams every `.stap`
 /// file in a directory through the full trust boundary (checksum, codec
-/// expansion caps, schema hash, `verifyStructure` acceptance gate),
-/// refuses directories whose shards were recorded under inconsistent
-/// analysis options, re-analyses each shard exactly as
-/// `ParallelAnalysis`'s transport mode does, and writes the
+/// expansion caps, schema hash, `verifyStructure` acceptance gate) into
+/// `ParallelAnalysis::mergeStapStreaming`, and writes the
 /// deterministically merged `ParallelAnalysisResult` JSON — byte-
-/// identical to what the recording process's in-process merge would
-/// have produced.
+/// identical to what the recording process's in-process
+/// `ParallelAnalysis::run` would have produced.  Every shard must carry
+/// META analysis options (every writer in the repo stamps them), and all
+/// must match those of the first shard in path order: a directory with
+/// a META-less or mismatched shard is refused, naming it.
 ///
 /// The merge is bounded-memory: shards are prefetched a small window
 /// ahead, analysed and released one at a time, so a thousand-shard
@@ -53,8 +54,6 @@ int usage(std::ostream &OS, int Code) {
         "  --json <file|->          merged report destination (default -)\n"
         "  --verify <mode>          per-shard re-verification before the\n"
         "                           merge: off, incremental or full\n"
-        "  --stream                 accepted for compatibility; streaming\n"
-        "                           is the only merge mode\n"
         "  --window <n>             max simultaneously loaded tapes\n"
         "                           (default 4)\n"
         "  --threads <n>            analysis/prefetch worker threads;\n"
@@ -125,9 +124,6 @@ int main(int Argc, char **Argv) {
                   << "'\n";
         return usage(std::cerr, 2);
       }
-    } else if (Arg == "--stream") {
-      // Streaming is the only mode; the flag documents intent in
-      // scripts and pins the CLI surface for when other modes return.
     } else if (Arg == "--window") {
       if (!(V = Value()))
         return usage(std::cerr, 2);

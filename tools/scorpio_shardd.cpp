@@ -28,7 +28,6 @@
 #include "kernels/KernelRegistry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -107,43 +106,31 @@ int main(int Argc, char **Argv) {
       Kernels.empty() ? Registry.names() : Kernels;
   std::sort(Names.begin(), Names.end());
 
-  const AnalysisOptions Options; // the defaults scorpio_merge replays
-  StapWriteOptions WOpts;
-  WOpts.Compress = Compress;
-
   // One shard per kernel, shard index = position in the sorted name
-  // list — the same deterministic order a ParallelAnalysis run over
-  // these kernels would use.
-  for (size_t I = 0; I != Names.size(); ++I) {
-    const KernelDescriptor *K = Registry.find(Names[I]);
+  // list; the tapes and the --inprocess report come from the same
+  // registrations.
+  ParallelAnalysis P;
+  for (const std::string &Name : Names) {
+    const KernelDescriptor *K = Registry.find(Name);
     if (!K) {
-      std::cerr << "scorpio_shardd: unknown kernel '" << Names[I] << "'\n";
+      std::cerr << "scorpio_shardd: unknown kernel '" << Name << "'\n";
       return 2;
     }
-    Analysis A;
-    K->Analyse(A, K->DefaultRanges);
-    const TapeMeta Meta = makeShardMeta(K->Name, I, Options);
-    char File[32];
-    std::snprintf(File, sizeof(File), "shard_%06zu.stap", I);
-    const std::string Path = OutDir + "/" + File;
-    if (diag::Status S = saveStap(Path, A.tape(), A.registration(), {},
-                                  WOpts, &Meta);
-        !S) {
-      std::cerr << "scorpio_shardd: " << Path << ": " << S.message() << "\n";
-      return 2;
-    }
-    std::cout << Path << "  (" << K->Name << ", " << A.tape().size()
-              << " nodes)\n";
+    P.addShard(Name,
+               [K] { K->Analyse(Analysis::current(), K->DefaultRanges); });
   }
 
+  const AnalysisOptions Options; // the defaults scorpio_merge replays
+  diag::Expected<std::vector<std::string>> Paths =
+      P.saveShards(OutDir, Options, Compress);
+  if (!Paths) {
+    std::cerr << "scorpio_shardd: " << Paths.status().message() << "\n";
+    return 2;
+  }
+  for (size_t I = 0; I != Names.size(); ++I)
+    std::cout << Paths.value()[I] << "  (" << Names[I] << ")\n";
+
   if (!InProcessPath.empty()) {
-    ParallelAnalysis P;
-    for (const std::string &Name : Names) {
-      const KernelDescriptor *K = Registry.find(Name);
-      P.addShard(Name, [K] {
-        K->Analyse(Analysis::current(), K->DefaultRanges);
-      });
-    }
     const ParallelAnalysisResult R = P.run(Options);
     if (InProcessPath == "-") {
       R.writeJson(std::cout);
