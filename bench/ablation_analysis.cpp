@@ -138,7 +138,10 @@ bool ablationMetric() {
 /// Ablation 3: S4 simplification on/off.
 bool ablationSimplify() {
   std::cout << "--- ablation 3: S4 aggregation-chain collapsing ---\n";
-  auto Run = [](bool Simplify) {
+  // One analysis per setting; returns its level-1 width.
+  Table T({"S4", "alive nodes", "height", "level-1 nodes",
+           "S5 variance level"});
+  auto Run = [&T](const char *Name, bool Simplify) {
     Analysis A;
     IAValue X = A.input("x", -0.25, 0.75);
     IAValue Result = 0.0;
@@ -149,28 +152,22 @@ bool ablationSimplify() {
     A.registerOutput(Result, "result");
     AnalysisOptions Opts;
     Opts.Simplify = Simplify;
-    return A.analyse(Opts);
-  };
-  const AnalysisResult With = Run(true);
-  const AnalysisResult Without = Run(false);
-
-  Table T({"S4", "alive nodes", "height", "level-1 nodes",
-           "S5 variance level"});
-  auto Row = [&](const char *Name, const AnalysisResult &R) {
-    T.addRow({Name, std::to_string(R.graph().numAlive()),
-              std::to_string(R.graph().height()),
-              std::to_string(R.graph().nodesAtLevel(1).size()),
+    const AnalysisResult R = A.analyse(Opts);
+    const DynDFG G = A.graph(R, Opts);
+    const size_t Level1 = G.nodesAtLevel(1).size();
+    T.addRow({Name, std::to_string(G.numAlive()),
+              std::to_string(G.height()), std::to_string(Level1),
               std::to_string(R.varianceLevel())});
+    return Level1;
   };
-  Row("on (paper)", With);
-  Row("off", Without);
+  const size_t With = Run("on (paper)", true);
+  const size_t Without = Run("off", false);
   T.print(std::cout);
   std::cout << "without S4 the accumulator chain buries the terms at "
                "different levels, so no single level\nexposes the "
                "per-term significance variance the task partitioning "
                "needs.\n\n";
-  return With.graph().nodesAtLevel(1).size() == 8 &&
-         Without.graph().nodesAtLevel(1).size() < 8;
+  return With == 8 && Without < 8;
 }
 
 /// Ablation 4: S5 delta sensitivity.

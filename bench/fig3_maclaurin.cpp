@@ -28,7 +28,9 @@ int main(int Argc, char **Argv) {
   std::cout << "f(x) = sum_{i<" << N << "} x^i,  x in ["
             << XCenter - HalfWidth << ", " << XCenter + HalfWidth << "]\n\n";
 
-  const AnalysisResult R = analyseMaclaurin(XCenter, HalfWidth, N);
+  Analysis A;
+  recordMaclaurin(A, XCenter, HalfWidth, N);
+  const AnalysisResult R = A.analyse();
   if (!R.isValid()) {
     R.print(std::cout);
     return 1;
@@ -58,15 +60,15 @@ int main(int Argc, char **Argv) {
   else
     T.print(std::cout);
 
-  std::cout << "\nGraph after S4 (Figure 3b): " << R.graph().numAlive()
-            << " nodes, height " << R.graph().height()
-            << "; level sizes:";
-  for (int L = 0; L < R.graph().height(); ++L)
-    std::cout << " L" << L << "=" << R.graph().nodesAtLevel(L).size();
+  const DynDFG G = A.graph(R);
+  std::cout << "\nGraph after S4 (Figure 3b): " << G.numAlive()
+            << " nodes, height " << G.height() << "; level sizes:";
+  for (int L = 0; L < G.height(); ++L)
+    std::cout << " L" << L << "=" << G.nodesAtLevel(L).size();
   std::cout << "\nS5 variance level: L = " << R.varianceLevel() << "\n";
 
   std::ofstream Dot("fig3_maclaurin.dot");
-  R.graph().writeDot(Dot);
+  G.writeDot(Dot);
   std::cout << "simplified DynDFG written to fig3_maclaurin.dot\n";
 
   // Shape checks mirroring the paper's observations.

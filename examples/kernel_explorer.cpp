@@ -48,7 +48,11 @@ int main(int Argc, char **Argv) {
 
   std::cout << Name << " — " << K->Description << "\n\n";
 
-  const AnalysisResult Res = R.analyse(Name);
+  // Recorded here rather than through R.analyse(Name) so the tape stays
+  // alive for the task suggestions' DynDFG view.
+  Analysis A;
+  K->Analyse(A, K->DefaultRanges);
+  const AnalysisResult Res = A.analyse();
   if (!Res.isValid()) {
     Res.print(std::cout);
     return 1;
@@ -72,7 +76,7 @@ int main(int Argc, char **Argv) {
                "Carlo): "
             << formatFixed(rankingAgreement(Ia, Mc), 3) << "\n\n";
 
-  printTaskSuggestions(suggestTasks(Res), std::cout);
+  printTaskSuggestions(suggestTasks(A.graph(Res), Res), std::cout);
   std::cout << "\noutput enclosure: " << Res.outputs().front().Value
             << "   (significance " << Res.outputSignificance() << ")\n";
   return 0;

@@ -35,9 +35,9 @@ namespace {
 
 /// Step 1+2: the annotated kernel (paper Listing 6).  Same code shape as
 /// the original double version — only the scalar type changed and the
-/// registration calls were added.
+/// registration calls were added.  Records into the thread's current
+/// Analysis, which the macros address.
 AnalysisResult analyseSeries(double XCenter, int N) {
-  Analysis A;
   IAValue X(XCenter);
   SCORPIO_INPUT(X, XCenter - 0.5, XCenter + 0.5);
   IAValue Result = 0.0;
@@ -93,6 +93,7 @@ int main() {
 
   // Step 3: significance analysis.
   std::cout << "[1] significance analysis (single profile run)\n";
+  Analysis A;
   const AnalysisResult R = analyseSeries(X, N);
   if (!R.isValid()) {
     R.print(std::cout);
@@ -100,12 +101,13 @@ int main() {
   }
   R.print(std::cout);
   std::ofstream Dot("quickstart_dyndfg.dot");
-  R.graph().writeDot(Dot);
+  const DynDFG G = A.graph(R);
+  G.writeDot(Dot);
   std::cout << "simplified DynDFG written to quickstart_dyndfg.dot "
                "(render with: dot -Tpng ...)\n\n";
 
   // The mechanized version of "the developer inspects Gout":
-  printTaskSuggestions(suggestTasks(R), std::cout);
+  printTaskSuggestions(suggestTasks(G, R), std::cout);
   std::cout << "\n";
 
   // Step 5: execute at different ratios.

@@ -32,10 +32,9 @@ double scorpio::apps::maclaurinSeries(double X, int N) {
   return Result;
 }
 
-AnalysisResult scorpio::apps::analyseMaclaurin(double XCenter,
-                                               double HalfWidth, int N) {
+void scorpio::apps::recordMaclaurin(Analysis &A, double XCenter,
+                                    double HalfWidth, int N) {
   assert(N > 0 && "series needs at least one term");
-  Analysis A;
   // One input plus a pow and an accumulation node per term.
   A.tape().reserve(2 * static_cast<size_t>(N) + 4);
   IAValue X;
@@ -47,6 +46,12 @@ AnalysisResult scorpio::apps::analyseMaclaurin(double XCenter,
     Result = Result + Term;
   }
   A.registerOutput(Result, "result");
+}
+
+AnalysisResult scorpio::apps::analyseMaclaurin(double XCenter,
+                                               double HalfWidth, int N) {
+  Analysis A;
+  recordMaclaurin(A, XCenter, HalfWidth, N);
   return A.analyse();
 }
 

@@ -34,9 +34,13 @@ namespace apps {
 /// Listing 5: sum of x^i for i in [0, N).
 double maclaurinSeries(double X, int N);
 
-/// Listing 6: evaluates the series over the input range
+/// Listing 6: records the series into \p A over the input range
 /// [XCenter - HalfWidth, XCenter + HalfWidth], registering each term
 /// as intermediate "term<i>" and the sum as output "result".
+void recordMaclaurin(Analysis &A, double XCenter, double HalfWidth, int N);
+
+/// Listing 6 end to end: recordMaclaurin into a fresh Analysis, then
+/// analyse() it with the default options.
 AnalysisResult analyseMaclaurin(double XCenter, double HalfWidth, int N);
 
 /// The per-task significance formula of Listing 7 line 14.

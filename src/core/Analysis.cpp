@@ -3,8 +3,8 @@
 #include "core/Analysis.h"
 
 #include "core/SweepBackends.h"
+#include "graph/TapeLevels.h"
 #include "support/Json.h"
-#include "support/Statistics.h"
 #include "verify/AbsInt.h"
 #include "verify/FpError.h"
 #include "verify/TapeVerifier.h"
@@ -340,20 +340,28 @@ AnalysisResult Analysis::analyse(const AnalysisOptions &OptionsIn) {
   FillVars(IntermediateVars, R.Intermediates);
   FillVars(OutputVars, R.Outputs);
 
+  // S4 and S5 straight off the tape's edge arrays; S5 runs on
+  // normalized significances (S / OutputSig) so Delta is scale-free.
   if (Options.BuildGraph) {
-    R.Graph =
-        DynDFG::fromTape(T, R.NodeSignificance, Labels, OutputNodes);
-    if (Options.Simplify)
-      R.Graph.simplify();
-
-    // Step S5 on normalized significances so Delta is scale-free.  The
-    // divisor form computes the same S / OutputSig doubles a scratch
-    // copy of the graph would hold, without deep-copying the graph.
-    R.VarianceLevel = R.Graph.findSignificanceVarianceLevel(
-        Options.Delta, R.OutputSig > 0.0 ? R.OutputSig : 1.0);
-    R.GraphAlive = R.Graph.numAlive();
-    R.GraphHeight = R.Graph.height();
+    const TapeLevels Levels =
+        computeTapeLevels(T, OutputNodes, Options.Simplify);
+    R.VarianceLevel = findVarianceLevel(
+        Levels.Level, Levels.Height, R.NodeSignificance, Options.Delta,
+        R.OutputSig > 0.0 ? R.OutputSig : 1.0);
+    R.GraphAlive = Levels.Alive;
+    R.GraphHeight = Levels.Height;
   }
 
   return R;
+}
+
+DynDFG Analysis::graph(const AnalysisResult &R,
+                       const AnalysisOptions &Options) const {
+  const std::span<const double> Sig = R.nodeSignificances();
+  DynDFG G = DynDFG::fromTape(
+      tape(), std::vector<double>(Sig.begin(), Sig.end()), Labels,
+      OutputNodes);
+  if (Options.Simplify)
+    G.simplify();
+  return G;
 }

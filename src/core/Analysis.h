@@ -11,7 +11,8 @@
 /// register intermediates and outputs (S1), then analyse() performs the
 /// adjoint reverse sweep, computes Eq.-11 significances for every node,
 /// simplifies the DynDFG (S4) and locates the significance-variance level
-/// (S5).
+/// (S5), both straight off the tape (graph/TapeLevels.h).  The DynDFG
+/// itself is a view that graph() builds on demand.
 ///
 /// The paper's macro set (Table 1) is provided in core/Macros.h on top of
 /// this class.
@@ -110,10 +111,11 @@ struct AnalysisOptions {
   unsigned BatchWidth = 8;
   /// Run step S4 (aggregation-chain collapsing) before level analysis.
   bool Simplify = true;
-  /// Build the DynDFG and run the step-S5 level analysis.  Callers that
-  /// only consume per-variable significances (block-significance apps,
-  /// throughput benchmarks) can switch this off; the result's Graph is
-  /// then empty and VarianceLevel is -1.
+  /// Run steps S4/S5: the level analysis behind the result's variance
+  /// level and graph statistics.  Callers that only consume
+  /// per-variable significances (block-significance apps, throughput
+  /// benchmarks) can switch this off; VarianceLevel is then -1 and the
+  /// graph statistics are 0.
   bool BuildGraph = true;
   /// Variance threshold delta of step S5, applied to *normalized*
   /// significances so it is scale-free.
@@ -201,14 +203,9 @@ public:
   /// denominator of normalization.
   double outputSignificance() const { return OutputSig; }
 
-  /// The simplified DynDFG (or the raw one when Simplify was off).
-  /// Only live analyse() results carry a graph; results deserialized
-  /// from the result cache report the recorded stats below instead.
-  const DynDFG &graph() const { return Graph; }
-
-  /// Alive-node count and height of graph() at analyse() time.  Stored
-  /// separately so a cached result (which cannot carry the DynDFG)
-  /// reports byte-identical graph statistics.
+  /// Alive-node count and height of the (simplified) DynDFG at
+  /// analyse() time -- the graph Analysis::graph() would build.  A
+  /// cached result reports the recorded numbers byte-identically.
   size_t graphAliveNodes() const { return GraphAlive; }
   int graphHeight() const { return GraphHeight; }
 
@@ -250,7 +247,6 @@ private:
   std::vector<double> NodeSignificance;
   std::vector<VariableSignificance> Inputs, Intermediates, Outputs;
   double OutputSig = 0.0;
-  DynDFG Graph;
   size_t GraphAlive = 0;
   int GraphHeight = 0;
   int VarianceLevel = -1;
@@ -325,8 +321,19 @@ public:
   /// and an error Status is returned.
   diag::Status adopt(Tape &&T, const TapeRegistration &Reg);
 
+  /// The DynDFG view of \p R, a result of this analysis' analyse(): the
+  /// tape's nodes with \p R's significances, this analysis' labels and
+  /// outputs, simplified (S4) when \p Options.Simplify is set.  Pass the
+  /// options \p R was analysed with, and the view's levels are the ones
+  /// behind R.varianceLevel() and R.graphHeight().  Built on demand for
+  /// DOT export, task suggestion and graph verification; analyse()
+  /// itself never builds it.
+  DynDFG graph(const AnalysisResult &R,
+               const AnalysisOptions &Options = {}) const;
+
   /// Direct access to the recording tape (tests, tooling).
   Tape &tape() { return Scope.tape(); }
+  const Tape &tape() const { return Scope.tape(); }
 
 private:
   ActiveTapeScope Scope;

@@ -25,8 +25,9 @@ using namespace scorpio;
 namespace {
 
 /// Re-verifies one analysed shard on the worker that produced it.
-/// Incremental mode re-checks the sub-tape structure and the post-S4/S5
-/// graph invariants; Full mode adds the E008 batch-sweep replay.
+/// Incremental mode re-checks the sub-tape structure; Full mode adds the
+/// E008 batch-sweep replay and the post-S4/S5 graph invariants, checked
+/// over a DynDFG view built for the purpose.
 verify::VerifyReport verifyShard(Analysis &A, const AnalysisResult &Result,
                                  const AnalysisOptions &Options,
                                  ShardVerification Mode) {
@@ -42,7 +43,7 @@ verify::VerifyReport verifyShard(Analysis &A, const AnalysisResult &Result,
   // Full tier so Incremental stays cheap enough for per-merge use.
   if (Mode == ShardVerification::Full && Options.BuildGraph &&
       Result.isValid()) {
-    const DynDFG &G = Result.graph();
+    const DynDFG G = A.graph(Result, Options);
     R.merge(verify::verifyGraph(G));
     const double Divisor =
         Result.outputSignificance() > 0.0 ? Result.outputSignificance() : 1.0;

@@ -16,7 +16,7 @@
 /// The SCoRPiO runtime motivates this shape: per-task significance
 /// analyses are embarrassingly parallel, and the paper's single-run
 /// efficiency claim only pays off when the driver can keep every core
-/// busy with one DynDFG each.
+/// busy with one tape each.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +39,14 @@ enum class ShardVerification : uint8_t {
   /// No verification (the default; shards are trusted).
   Off,
   /// Incremental re-verification: each worker re-checks its own shard's
-  /// sub-tape structure (SCORPIO-Exxx) and, when the graph was built,
-  /// the post-S4/S5 DynDFG invariants (SCORPIO-Gxxx) at merge time.
-  /// Skips the O(tape x lanes) batch-sweep replay, so the overhead is a
-  /// small fraction of the recording+sweep cost.
+  /// sub-tape structure (SCORPIO-Exxx) at merge time.  Skips the
+  /// O(tape x lanes) batch-sweep replay and the graph audit, so the
+  /// overhead is a small fraction of the recording+sweep cost.
   Incremental,
   /// The full audit: incremental checks plus the SCORPIO-E008
-  /// batch-vs-dedicated sweep bit-identity replay.
+  /// batch-vs-dedicated sweep bit-identity replay and, when the graph
+  /// stage ran, the post-S4/S5 DynDFG invariants (SCORPIO-Gxxx) over a
+  /// DynDFG view built for the check.
   Full,
 };
 
@@ -358,8 +359,8 @@ public:
 
   /// Serializes one shard's report payload (name, index, divergences,
   /// per-node significances, variable lists, output significance,
-  /// variance level, graph stats — not the live DynDFG or verification
-  /// findings) to a stable byte string: the result-cache wire format.
+  /// variance level, graph stats — not the verification findings) to a
+  /// stable byte string: the result-cache wire format.
   /// Host-endian; cache entries are machine-local like their keys.
   static std::string serializeShardResult(const ShardResult &Shard);
 

@@ -10,14 +10,13 @@
 using namespace scorpio;
 
 std::vector<TaskSuggestion>
-scorpio::suggestTasks(const AnalysisResult &Result,
+scorpio::suggestTasks(const DynDFG &G, const AnalysisResult &Result,
                       const TaskSuggestionOptions &Options) {
   // Significances of a diverged run are meaningless (paper Section 2.2);
   // no suggestion is safer than a wrong one.
   SCORPIO_REQUIRE(Result.isValid(), diag::ErrC::InvalidState,
                   "suggestTasks: cannot suggest tasks from a diverged run",
                   {});
-  const DynDFG &G = Result.graph();
   int Level = Options.Level >= 0 ? Options.Level : Result.varianceLevel();
   if (Level < 0)
     Level = 1; // no variance detected: default to the first level

@@ -13,9 +13,9 @@
 /// information to partition code in tasks" the paper claims over Topaz
 /// (Section 5):
 ///
-///   suggestTasks(result) takes an AnalysisResult, reads the detected
-///   variance level L (step S5), and emits one TaskSuggestion per node
-///   at that level: its label (user name when registered), its
+///   suggestTasks(graph, result) takes an AnalysisResult and its DynDFG
+///   view (Analysis::graph()), reads the detected variance level L
+///   (step S5), and emits one TaskSuggestion per node at that level: its label (user name when registered), its
 ///   normalized significance, the [0, 1] runtime significance to put in
 ///   the task clause (rank-preserving, with ~zero-significance nodes
 ///   flagged as droppable constants), and the ids of the level-(L+1)
@@ -64,10 +64,11 @@ struct TaskSuggestionOptions {
 };
 
 /// Derives task suggestions from an analysis result (requires a valid
-/// result).  Suggestions are ordered by descending clause significance,
-/// ties by node id.
+/// result) and its DynDFG view \p Graph, as Analysis::graph() builds it
+/// with the options \p Result was analysed with.  Suggestions are
+/// ordered by descending clause significance, ties by node id.
 std::vector<TaskSuggestion>
-suggestTasks(const AnalysisResult &Result,
+suggestTasks(const DynDFG &Graph, const AnalysisResult &Result,
              const TaskSuggestionOptions &Options = {});
 
 /// Renders the suggestions as a short human-readable report (the

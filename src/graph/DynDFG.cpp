@@ -1,12 +1,10 @@
-//===- graph/DynDFG.cpp - DynDFG simplification and level analysis -------===//
+//===- graph/DynDFG.cpp - On-demand DynDFG view --------------------------===//
 
 #include "graph/DynDFG.h"
 
 #include "support/Dot.h"
-#include "support/Statistics.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 using namespace scorpio;
@@ -18,15 +16,18 @@ DynDFG DynDFG::fromTape(const Tape &T,
   DynDFG G;
   SCORPIO_REQUIRE(Significance.size() == T.size(), diag::ErrC::SizeMismatch,
                   "DynDFG::fromTape: need one significance per tape node", G);
+  const TapeLevels Raw = computeTapeLevels(T, Outputs, /*Simplify=*/false);
+  const std::span<const TapeOp> Ops = T.ops();
+  const std::span<const TapeEdges> Edges = T.edges();
+  const std::span<const Interval> Values = T.values();
   G.Nodes.resize(T.size());
   for (size_t I = 0; I != T.size(); ++I) {
-    const NodeId Id = static_cast<NodeId>(I);
     DfgNode &DN = G.Nodes[I];
-    DN.Kind = T.kind(Id);
-    DN.Value = T.value(Id);
+    DN.Kind = Ops[I].Kind;
+    DN.Value = Values[I];
     DN.Significance = Significance[I];
-    for (unsigned A = 0, N = T.numArgs(Id); A != N; ++A)
-      DN.Preds.push_back(T.arg(Id, A));
+    DN.Level = Raw.Level[I];
+    DN.Preds.assign(Edges[I].Args, Edges[I].Args + Edges[I].NumArgs);
   }
   for (const auto &[Id, Name] : Labels)
     G.Nodes[static_cast<size_t>(Id)].Label = Name;
@@ -37,7 +38,7 @@ DynDFG DynDFG::fromTape(const Tape &T,
     for (NodeId P : G.Nodes[I].Preds)
       G.Nodes[static_cast<size_t>(P)].Succs.push_back(
           static_cast<NodeId>(I));
-  G.computeLevels();
+  G.Collapse = computeTapeLevels(T, Outputs, /*Simplify=*/true);
   return G;
 }
 
@@ -51,26 +52,11 @@ size_t DynDFG::numAlive() const {
 
 void DynDFG::simplify() {
   const size_t N = Nodes.size();
-  // A node collapses forward into its unique same-op consumer.  Inputs
-  // and registered outputs always survive.
-  std::vector<bool> Dead(N, false);
-  for (size_t I = 0; I != N; ++I) {
-    const DfgNode &V = Nodes[I];
-    if (!V.Alive || V.IsOutput || V.Kind == OpKind::Input)
-      continue;
-    if (!isAccumulativeOp(V.Kind) || V.Succs.size() != 1)
-      continue;
-    const DfgNode &S = Nodes[static_cast<size_t>(V.Succs[0])];
-    if (S.Alive && S.Kind == V.Kind)
-      Dead[I] = true;
-  }
-
-  // Head of a dead node: follow the unique-consumer chain until an alive
-  // node is reached.
-  auto HeadOf = [&](NodeId Id) {
-    while (Dead[static_cast<size_t>(Id)])
-      Id = Nodes[static_cast<size_t>(Id)].Succs[0];
-    return Id;
+  if (Collapse.Head.size() != N)
+    return; // no plan, or already applied
+  const std::vector<NodeId> &HeadOf = Collapse.Head;
+  auto Dead = [&](size_t I) {
+    return !Collapse.isAlive(static_cast<NodeId>(I));
   };
 
   // Rebuild predecessor lists: each alive node keeps its non-dead preds;
@@ -79,24 +65,23 @@ void DynDFG::simplify() {
   for (size_t I = 0; I != N; ++I) {
     if (!Nodes[I].Alive)
       continue;
-    const NodeId Target =
-        Dead[I] ? HeadOf(static_cast<NodeId>(I)) : static_cast<NodeId>(I);
+    const NodeId Target = HeadOf[I];
     for (NodeId P : Nodes[I].Preds) {
-      if (Dead[static_cast<size_t>(P)])
+      if (Dead(static_cast<size_t>(P)))
         continue; // chain-internal edge
       NewPreds[static_cast<size_t>(Target)].push_back(P);
     }
   }
 
   for (size_t I = 0; I != N; ++I) {
-    if (Dead[I]) {
+    Nodes[I].Level = Collapse.Level[I];
+    if (Dead(I)) {
       Nodes[I].Alive = false;
       // Preserve a user label by moving it to the chain head if the head
       // is unlabeled (e.g. intermediate accumulator snapshots).
-      const NodeId H = HeadOf(static_cast<NodeId>(I));
-      if (!Nodes[I].Label.empty() &&
-          Nodes[static_cast<size_t>(H)].Label.empty())
-        Nodes[static_cast<size_t>(H)].Label = Nodes[I].Label;
+      const size_t H = static_cast<size_t>(HeadOf[I]);
+      if (!Nodes[I].Label.empty() && Nodes[H].Label.empty())
+        Nodes[H].Label = Nodes[I].Label;
       Nodes[I].Preds.clear();
       Nodes[I].Succs.clear();
       continue;
@@ -114,31 +99,7 @@ void DynDFG::simplify() {
       for (NodeId P : Nodes[I].Preds)
         Nodes[static_cast<size_t>(P)].Succs.push_back(
             static_cast<NodeId>(I));
-
-  computeLevels();
-}
-
-void DynDFG::computeLevels() {
-  std::deque<NodeId> Queue;
-  for (size_t I = 0; I != Nodes.size(); ++I) {
-    Nodes[I].Level = -1;
-    if (Nodes[I].Alive && Nodes[I].IsOutput) {
-      Nodes[I].Level = 0;
-      Queue.push_back(static_cast<NodeId>(I));
-    }
-  }
-  while (!Queue.empty()) {
-    const NodeId V = Queue.front();
-    Queue.pop_front();
-    const int NextLevel = Nodes[static_cast<size_t>(V)].Level + 1;
-    for (NodeId P : Nodes[static_cast<size_t>(V)].Preds) {
-      DfgNode &PN = Nodes[static_cast<size_t>(P)];
-      if (!PN.Alive || PN.Level != -1)
-        continue;
-      PN.Level = NextLevel;
-      Queue.push_back(P);
-    }
-  }
+  Collapse = TapeLevels();
 }
 
 int DynDFG::height() const {
@@ -166,18 +127,13 @@ std::vector<double> DynDFG::significancesAtLevel(int L) const {
 
 int DynDFG::findSignificanceVarianceLevel(double Delta,
                                           double Divisor) const {
-  const int H = height();
-  for (int L = 1; L < H; ++L) {
-    std::vector<double> Sig = significancesAtLevel(L);
-    if (Sig.size() < 2)
-      continue;
-    if (Divisor != 1.0)
-      for (double &S : Sig)
-        S /= Divisor;
-    if (variance(Sig) > Delta)
-      return L;
+  std::vector<int> Level(Nodes.size());
+  std::vector<double> Sig(Nodes.size());
+  for (size_t I = 0; I != Nodes.size(); ++I) {
+    Level[I] = Nodes[I].Alive ? Nodes[I].Level : -1;
+    Sig[I] = Nodes[I].Significance;
   }
-  return -1;
+  return findVarianceLevel(Level, height(), Sig, Delta, Divisor);
 }
 
 DynDFG DynDFG::truncatedAbove(int MaxLevel) const {

@@ -6,20 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The post-processing side of Algorithm 1.  A DynDFG is built from a
-/// recorded Tape together with per-node significances (step S3 output),
-/// then:
+/// The DynDFG as an inspectable graph: one object per node, with its
+/// operands, consumers, label, significance and level.  It is a *view*,
+/// built on demand (Analysis::graph()) for the callers that walk nodes:
+/// DOT export, task suggestion, scorpio-lint --graph and full shard
+/// verification.  analyse() itself never builds one; it reads S4/S5
+/// straight off the tape (graph/TapeLevels.h), and so does this view:
 ///
-///  * simplify() — step S4 — collapses anti-dependency aggregation chains
-///    (`res = res + term[i]`) so that pure accumulation does not count as
-///    "computation" (Figure 3a -> 3b);
-///  * computeLevels() assigns each node its BFS distance from the output
-///    nodes (outputs are level 0, Figure 2);
-///  * findSignificanceVarianceLevel() — step S5 — walks levels from the
-///    outputs towards the inputs and returns the first level whose node
-///    significances have statistical variance above delta: the level at
-///    which the code should be partitioned into tasks of different
-///    significance;
+///  * fromTape() copies the tape's nodes and takes the raw levels and
+///    the S4 collapse plan from computeTapeLevels();
+///  * simplify() — step S4 — applies that plan: aggregation chains
+///    (`res = res + term[i]`) collapse into their head, so pure
+///    accumulation does not count as "computation" (Figure 3a -> 3b);
+///  * findSignificanceVarianceLevel() — step S5 — runs the shared
+///    findVarianceLevel() over the view's alive levels;
 ///  * truncatedAbove() implements G.removeAbove(L+1) from the paper's
 ///    pseudocode.
 ///
@@ -28,6 +28,7 @@
 #ifndef SCORPIO_GRAPH_DYNDFG_H
 #define SCORPIO_GRAPH_DYNDFG_H
 
+#include "graph/TapeLevels.h"
 #include "support/Diag.h"
 #include "tape/Tape.h"
 
@@ -44,8 +45,9 @@ struct DfgNode {
   Interval Value;
   /// Raw significance S_y(u) = w([u] * grad_[u][y]) (Eq. 11).
   double Significance = 0.0;
-  /// BFS distance from the outputs; -1 for nodes that do not reach any
-  /// output (dead code).
+  /// Distance from the outputs (outputs are 0, every other node is 1 +
+  /// the minimum level of its consumers); -1 for nodes that do not
+  /// reach any output (dead code).
   int Level = -1;
   /// User-facing name when the node was registered via
   /// INPUT/INTERMEDIATE/OUTPUT; empty otherwise.
@@ -99,12 +101,10 @@ public:
   /// its unique consumer s when v's operation is accumulative, v has
   /// exactly one consumer, and s performs the same operation.  The
   /// non-chain operands of collapsed nodes re-attach to the surviving
-  /// chain head.  Recomputes levels afterwards.
+  /// chain head, and levels become those of the simplified graph.
+  /// Applies the plan fromTape() computed, once: a second call, or a
+  /// call on a graph that did not come from fromTape(), changes nothing.
   void simplify();
-
-  /// Recomputes Level for every alive node: outputs are level 0; every
-  /// other node is 1 + the minimum level of its alive consumers (BFS).
-  void computeLevels();
 
   /// Height of the graph: 1 + the maximum level of any alive node.
   int height() const;
@@ -147,6 +147,8 @@ private:
   }
 
   std::vector<DfgNode> Nodes;
+  /// S4 plan from fromTape(), consumed by simplify().
+  TapeLevels Collapse;
 };
 
 } // namespace scorpio

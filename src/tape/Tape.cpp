@@ -130,7 +130,7 @@ NodeId Tape::recordUnary(OpKind K, const Interval &V, NodeId Arg,
   // is still recorded, as a constant leaf) instead of corrupting the
   // edge stream in Release builds.
   const bool ArgOk =
-      SCORPIO_CHECK(Arg != InvalidNodeId && Arg < Id,
+      SCORPIO_CHECK(Arg >= 0 && Arg < Id,
                     diag::ErrC::InvalidArgument,
                     "Tape::recordUnary: invalid or forward argument id");
   TapeEdges E;

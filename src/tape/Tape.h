@@ -25,10 +25,18 @@
 /// instead of m.
 ///
 /// Lifetime rule: a NodeId stays valid for the lifetime of its tape, but
-/// a reference returned by value(), partial() or adjoint() lasts only
-/// until the next record call, which may grow (and so relocate) the
-/// arrays.  The record functions themselves accept such references as
-/// arguments: they copy every operand before appending anything.
+/// a reference returned by value(), partial() or adjoint() -- or a span
+/// returned by ops(), edges() or values() -- lasts only until the next
+/// record call, which may grow (and so relocate) the arrays.  The record
+/// functions themselves accept such references as arguments: they copy
+/// every operand before appending anything.
+///
+/// Edge invariant: every recorded argument id of node Id lies in
+/// [0, Id).  The record functions enforce it (an out-of-range or
+/// forward id is demoted to a passive operand), and a deserialized tape
+/// is rebuilt through them, so a pass over the raw arrays may index by
+/// argument id without a check, and every consumer is visited after
+/// all of its operands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -292,6 +300,14 @@ public:
       return zeroInterval();
     return Adjoints[static_cast<size_t>(Id)];
   }
+
+  /// Read-only views of the SoA arrays, one entry per node, for passes
+  /// that walk every node: unlike the per-node accessors above they
+  /// skip the id check, which the edge invariant (file comment) makes
+  /// redundant.  Valid until the next record call.
+  std::span<const TapeOp> ops() const { return Ops; }
+  std::span<const TapeEdges> edges() const { return Edges; }
+  std::span<const Interval> values() const { return Values; }
 
   /// Ids of all recorded input nodes, in registration order.
   const std::vector<NodeId> &inputs() const { return Inputs; }

@@ -212,12 +212,14 @@ uint64_t cseHash(OpKind K, int32_t AuxInt, unsigned NumArgs, NodeId A0,
   return H;
 }
 
-bool sameOperation(const Tape &T, NodeId A, NodeId B) {
-  if (T.kind(A) != T.kind(B) || T.auxInt(A) != T.auxInt(B) ||
-      T.numArgs(A) != T.numArgs(B))
+bool sameOperation(std::span<const TapeOp> Ops,
+                   std::span<const TapeEdges> Edges, NodeId A, NodeId B) {
+  const size_t IA = static_cast<size_t>(A), IB = static_cast<size_t>(B);
+  if (Ops[IA].Kind != Ops[IB].Kind || Ops[IA].AuxInt != Ops[IB].AuxInt ||
+      Edges[IA].NumArgs != Edges[IB].NumArgs)
     return false;
-  for (unsigned K = 0, E = T.numArgs(A); K != E; ++K)
-    if (T.arg(A, K) != T.arg(B, K))
+  for (unsigned K = 0, E = Edges[IA].NumArgs; K != E; ++K)
+    if (Edges[IA].Args[K] != Edges[IB].Args[K])
       return false;
   return true;
 }
@@ -227,6 +229,12 @@ bool sameOperation(const Tape &T, NodeId A, NodeId B) {
 AbsIntResult verify::absInterpret(const Tape &T,
                                   std::span<const NodeId> Outputs,
                                   const AbsIntOptions &Options) {
+  // Every pass walks the tape's raw arrays: the edge invariant
+  // (tape/Tape.h) makes each argument id a valid index, so no access
+  // pays the per-node id check of the Tape accessors.
+  const std::span<const TapeOp> Ops = T.ops();
+  const std::span<const TapeEdges> Edges = T.edges();
+  const std::span<const Interval> Recorded = T.values();
   const size_t N = T.size();
   AbsIntResult R;
   R.Report = VerifyReport(Options.MaxFindingsPerRule);
@@ -266,26 +274,26 @@ AbsIntResult verify::absInterpret(const Tape &T,
   // ---- Forward pass: re-derive enclosures and partials ----
   for (size_t I = 0; I != N; ++I) {
     const NodeId Id = static_cast<NodeId>(I);
-    const OpKind Kind = T.kind(Id);
-    const unsigned NumArgs = T.numArgs(Id);
+    const OpKind Kind = Ops[I].Kind;
+    const TapeEdges &E = Edges[I];
+    const unsigned NumArgs = E.NumArgs;
     for (unsigned K = 0; K != NumArgs; ++K)
-      ++Consumers[static_cast<size_t>(T.arg(Id, K))];
+      ++Consumers[static_cast<size_t>(E.Args[K])];
 
     if (isAnchored(Kind, NumArgs)) {
       R.Anchored[I] = 1;
-      R.Values[I] = T.value(Id);
+      R.Values[I] = Recorded[I];
       for (unsigned K = 0; K != NumArgs; ++K)
-        R.Partials[2 * I + K] = T.partial(Id, K);
+        R.Partials[2 * I + K] = E.Partials[K];
       Foldable[I] = Kind == OpKind::Input && R.Values[I].isPoint();
       continue;
     }
 
-    const Interval &X = R.Values[static_cast<size_t>(T.arg(Id, 0))];
-    const Interval &Y = NumArgs > 1
-                            ? R.Values[static_cast<size_t>(T.arg(Id, 1))]
-                            : X;
+    const Interval &X = R.Values[static_cast<size_t>(E.Args[0])];
+    const Interval &Y =
+        NumArgs > 1 ? R.Values[static_cast<size_t>(E.Args[1])] : X;
     Interval V(0.0), P0(0.0), P1(0.0);
-    transfer(Kind, T.auxInt(Id), X, Y, V, P0, P1);
+    transfer(Kind, Ops[I].AuxInt, X, Y, V, P0, P1);
     R.Values[I] = V;
     R.Partials[2 * I + 0] = P0;
     if (NumArgs > 1)
@@ -293,18 +301,18 @@ AbsIntResult verify::absInterpret(const Tape &T,
 
     Foldable[I] = 1;
     for (unsigned K = 0; K != NumArgs; ++K)
-      if (!Foldable[static_cast<size_t>(T.arg(Id, K))])
+      if (!Foldable[static_cast<size_t>(E.Args[K])])
         Foldable[I] = 0;
 
     // A001: the recorded enclosure must lie inside the abstract one.
     // Raw containment first — on an honest same-build tape the two are
     // bitwise equal, so the slack widening (a handful of nextafter
     // steps per bound) only ever runs on the failure path.
-    if (!V.contains(T.value(Id)) &&
+    if (!V.contains(Recorded[I]) &&
         !detail::outward(V.lower(), V.upper(), Options.SlackUlps)
-             .contains(T.value(Id))) {
+             .contains(Recorded[I])) {
       std::ostringstream OS;
-      OS << nodeRef(T, Id) << " recorded enclosure " << T.value(Id)
+      OS << nodeRef(T, Id) << " recorded enclosure " << Recorded[I]
          << " escapes the abstract enclosure " << V;
       flag(R.Report, RuleKind::ValueEscapesEnclosure, Id, -1, OS.str());
     }
@@ -315,13 +323,13 @@ AbsIntResult verify::absInterpret(const Tape &T,
     if (Kind != OpKind::Round) {
       for (unsigned K = 0; K != NumArgs; ++K) {
         const Interval &P = R.Partials[2 * I + K];
-        if (P.contains(T.partial(Id, K)) ||
+        if (P.contains(E.Partials[K]) ||
             detail::outward(P.lower(), P.upper(), Options.SlackUlps)
-                .contains(T.partial(Id, K)))
+                .contains(E.Partials[K]))
           continue;
         std::ostringstream OS;
         OS << nodeRef(T, Id) << " recorded partial " << K << " w.r.t. u"
-           << T.arg(Id, K) << " = " << T.partial(Id, K)
+           << E.Args[K] << " = " << E.Partials[K]
            << " escapes the abstract partial " << P;
         flag(R.Report, RuleKind::PartialEscapesEnclosure, Id,
              static_cast<int>(K), OS.str());
@@ -333,12 +341,13 @@ AbsIntResult verify::absInterpret(const Tape &T,
     // lint (which only sees recorded values) stays silent on a real
     // hazard.
     if (Kind == OpKind::Div && NumArgs == 2) {
-      const NodeId Divisor = T.arg(Id, 1);
+      const NodeId Divisor = E.Args[1];
       const Interval &AbsB = R.Values[static_cast<size_t>(Divisor)];
-      if (straddleHazard(AbsB) && !straddleHazard(T.value(Divisor))) {
+      const Interval &RecB = Recorded[static_cast<size_t>(Divisor)];
+      if (straddleHazard(AbsB) && !straddleHazard(RecB)) {
         std::ostringstream OS;
-        OS << nodeRef(T, Id) << " divisor u" << Divisor << " = "
-           << T.value(Divisor) << " must contain zero (abstract " << AbsB
+        OS << nodeRef(T, Id) << " divisor u" << Divisor << " = " << RecB
+           << " must contain zero (abstract " << AbsB
            << "); the recorded enclosure hides the hazard";
         flag(R.Report, RuleKind::HiddenZeroDivisor, Id, 1, OS.str());
       }
@@ -348,14 +357,14 @@ AbsIntResult verify::absInterpret(const Tape &T,
     // recorded.  Anchored nodes are excluded above: their unrecorded
     // passive operand could differ between the two occurrences.
     if (Options.CheckCommonSubexpressions) {
-      const NodeId A0 = T.arg(Id, 0);
-      const NodeId A1 = NumArgs > 1 ? T.arg(Id, 1) : InvalidNodeId;
+      const NodeId A0 = E.Args[0];
+      const NodeId A1 = NumArgs > 1 ? E.Args[1] : InvalidNodeId;
       size_t Slot = static_cast<size_t>(
-                        cseHash(Kind, T.auxInt(Id), NumArgs, A0, A1)) &
+                        cseHash(Kind, Ops[I].AuxInt, NumArgs, A0, A1)) &
                     CseMask;
       NodeId First = InvalidNodeId;
       while (CseTable[Slot] != InvalidNodeId) {
-        if (sameOperation(T, CseTable[Slot], Id)) {
+        if (sameOperation(Ops, Edges, CseTable[Slot], Id)) {
           First = CseTable[Slot];
           break;
         }
@@ -381,18 +390,16 @@ AbsIntResult verify::absInterpret(const Tape &T,
   if (Options.CheckFoldable) {
     std::vector<uint8_t> Frontier(N, 0);
     for (size_t I = 0; I != N; ++I) {
-      const NodeId Id = static_cast<NodeId>(I);
-      if (!Foldable[I] || T.kind(Id) == OpKind::Input)
+      if (!Foldable[I] || Ops[I].Kind == OpKind::Input)
         continue;
       Frontier[I] = IsOutput[I] || Consumers[I] == 0;
     }
     for (size_t I = 0; I != N; ++I) {
-      const NodeId Id = static_cast<NodeId>(I);
       if (Foldable[I])
         continue;
-      for (unsigned K = 0, E = T.numArgs(Id); K != E; ++K) {
-        const size_t Arg = static_cast<size_t>(T.arg(Id, K));
-        if (Foldable[Arg] && T.kind(T.arg(Id, K)) != OpKind::Input)
+      for (unsigned K = 0, E = Edges[I].NumArgs; K != E; ++K) {
+        const size_t Arg = static_cast<size_t>(Edges[I].Args[K]);
+        if (Foldable[Arg] && Ops[Arg].Kind != OpKind::Input)
           Frontier[Arg] = 1;
       }
     }
@@ -426,12 +433,11 @@ AbsIntResult verify::absInterpret(const Tape &T,
     const double MI = M[I];
     if (MI == 0.0)
       continue;
-    const NodeId Id = static_cast<NodeId>(I);
-    for (unsigned K = 0, E = T.numArgs(Id); K != E; ++K) {
+    for (unsigned K = 0, E = Edges[I].NumArgs; K != E; ++K) {
       const double PM = R.Partials[2 * I + K].mag();
       if (PM == 0.0)
         continue;
-      double &Slot = M[static_cast<size_t>(T.arg(Id, K))];
+      double &Slot = M[static_cast<size_t>(Edges[I].Args[K])];
       Slot = up(Slot + up(PM * MI));
     }
   }
@@ -466,16 +472,15 @@ AbsIntResult verify::absInterpret(const Tape &T,
   for (size_t J = 0; J != N; ++J) {
     if (M[J] == 0.0 && !IsOutput[J])
       continue;
-    const NodeId Cons = static_cast<NodeId>(J);
-    for (unsigned K = 0, E = T.numArgs(Cons); K != E; ++K)
+    for (unsigned K = 0, E = Edges[J].NumArgs; K != E; ++K)
       if (isExactZero(R.Partials[2 * J + K]))
-        DeadEdgeFromLive[static_cast<size_t>(T.arg(Cons, K))] = 1;
+        DeadEdgeFromLive[static_cast<size_t>(Edges[J].Args[K])] = 1;
   }
   for (size_t I = 0; I != N; ++I) {
-    const NodeId Id = static_cast<NodeId>(I);
-    if (T.kind(Id) == OpKind::Input || IsOutput[I] || Consumers[I] == 0 ||
+    if (Ops[I].Kind == OpKind::Input || IsOutput[I] || Consumers[I] == 0 ||
         M[I] != 0.0 || !DeadEdgeFromLive[I])
       continue;
+    const NodeId Id = static_cast<NodeId>(I);
     std::ostringstream OS;
     OS << nodeRef(T, Id) << " = " << R.Values[I]
        << " is unreachable by abstract adjoint: every consuming edge "

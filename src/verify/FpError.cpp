@@ -2,7 +2,7 @@
 
 #include "verify/FpError.h"
 
-#include "graph/DynDFG.h"
+#include "graph/TapeLevels.h"
 #include "verify/AbsInt.h"
 
 #include <algorithm>
@@ -107,16 +107,16 @@ FpErrorResult verify::fpErrorInterpret(const Tape &T,
   AbsIntResult Abs = absInterpret(T, Outputs, AbsOpts);
   R.AdjointMagBound = std::move(Abs.AdjointMagBound);
 
+  const std::span<const TapeOp> Ops = T.ops();
   const double Cap = Options.ErrorCap;
   double Total = 0.0;
   for (size_t I = 0; I != N; ++I) {
-    const NodeId Id = static_cast<NodeId>(I);
     // Static local error at the *abstract* enclosure magnitude: the
     // recorded enclosure is contained in the abstract one, |mid| <= mag
     // on any interval, and the step-based ulp is non-decreasing in
     // magnitude, so this dominates the dynamic backend's
     // half-ulp-at-|mid| local error.
-    const double Eps = fpLocalError(T.kind(Id), Abs.Values[I].mag());
+    const double Eps = fpLocalError(Ops[I].Kind, Abs.Values[I].mag());
     R.LocalErrorBound[I] = Eps <= Cap ? Eps : Cap;
     const double M = R.AdjointMagBound[I];
     if (M == 0.0 || Eps == 0.0)
@@ -209,7 +209,6 @@ VerifyReport verify::auditStoredFpError(const FpErrorResult &R,
 
 VerifyReport verify::lintFpError(const Tape &T, const FpErrorResult &R,
                                  const std::vector<NodeId> &Outputs,
-                                 const std::map<NodeId, std::string> &Labels,
                                  const FpErrorOptions &Options) {
   VerifyReport Report(Options.MaxFindingsPerRule);
   const double Total = R.TotalErrorBound;
@@ -242,13 +241,12 @@ VerifyReport verify::lintFpError(const Tape &T, const FpErrorResult &R,
   }
 
   // F005/F008 over the paper's task groups: the DynDFG levels.  The
-  // *raw* (unsimplified) graph keeps tape ids and graph ids aligned,
+  // *raw* (unsimplified) levels keep every tape node in its own group,
   // so each level's error accounting is exact.
-  DynDFG G = DynDFG::fromTape(T, R.ContributionBound, Labels, Outputs);
-  G.computeLevels();
-  const int Height = G.height();
-  for (int L = 0; L != Height; ++L) {
-    const std::vector<NodeId> Level = G.nodesAtLevel(L);
+  const TapeLevels Raw = computeTapeLevels(T, Outputs, /*Simplify=*/false);
+  const LevelGroups Groups = groupByLevel(Raw.Level, Raw.Height);
+  for (int L = 0; L != Raw.Height; ++L) {
+    const std::span<const NodeId> Level = Groups.level(L);
     if (Level.empty())
       continue;
     bool AllInputs = true;

@@ -53,7 +53,6 @@
 #include "tape/Tape.h"
 #include "verify/Verify.h"
 
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -161,8 +160,8 @@ VerifyReport auditStoredFpError(const FpErrorResult &R,
                                 const FpErrorOptions &Options);
 
 /// SCORPIO-F005..F008: the mixed-precision lints over \p R's static
-/// contribution bounds.  Task groups are the DynDFG levels (the
-/// paper's level-based task extraction): per level the contribution
+/// contribution bounds.  Task groups are the raw DynDFG levels
+/// (graph/TapeLevels.h; the paper's level-based task extraction): per level the contribution
 /// bounds are summed, projected to float via FloatDemotionScale, and
 /// compared against DemotionTolerance — demotable levels get a SARIF
 /// fix-it naming the task group (F005), levels blocked by exactly
@@ -170,7 +169,6 @@ VerifyReport auditStoredFpError(const FpErrorResult &R,
 /// the total bound and F007 totals above OutputErrorTolerance.
 VerifyReport lintFpError(const Tape &T, const FpErrorResult &R,
                          const std::vector<NodeId> &Outputs,
-                         const std::map<NodeId, std::string> &Labels,
                          const FpErrorOptions &Options);
 
 } // namespace scorpio::verify

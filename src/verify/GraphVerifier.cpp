@@ -43,8 +43,8 @@ bool aliveIn(const DynDFG &G, NodeId Id) {
 }
 
 /// Recomputes the BFS level of every node of \p G from its alive
-/// outputs, exactly as DynDFG::computeLevels defines it, without
-/// touching \p G.  Index i holds the expected level of node i (-1 for
+/// outputs, as DfgNode::Level defines it, without touching \p G and
+/// without the array pass (graph/TapeLevels.h) that set the levels.  Index i holds the expected level of node i (-1 for
 /// dead or unreachable nodes).
 std::vector<int> expectedLevels(const DynDFG &G) {
   const size_t N = G.size();

@@ -17,36 +17,43 @@ using namespace scorpio;
 
 namespace {
 
-/// Builds the Maclaurin analysis of Listing 6 and returns its result.
-AnalysisResult maclaurinResult(int N, bool Simplify) {
+/// The Maclaurin analysis of Listing 6, its result and the DynDFG view
+/// built with the same options.
+struct Maclaurin {
   Analysis A;
-  IAValue X = A.input("x", -0.25, 0.75);
-  IAValue Result = 0.0;
-  for (int I = 0; I < N; ++I) {
-    IAValue Term = pow(X, I);
-    A.registerIntermediate(Term, "term" + std::to_string(I));
-    Result = Result + Term;
+  AnalysisResult R;
+  DynDFG G;
+
+  Maclaurin(int N, bool Simplify) {
+    IAValue X = A.input("x", -0.25, 0.75);
+    IAValue Result = 0.0;
+    for (int I = 0; I < N; ++I) {
+      IAValue Term = pow(X, I);
+      A.registerIntermediate(Term, "term" + std::to_string(I));
+      Result = Result + Term;
+    }
+    A.registerOutput(Result, "result");
+    AnalysisOptions Opts;
+    Opts.Simplify = Simplify;
+    R = A.analyse(Opts);
+    G = A.graph(R, Opts);
   }
-  A.registerOutput(Result, "result");
-  AnalysisOptions Opts;
-  Opts.Simplify = Simplify;
-  return A.analyse(Opts);
-}
+};
 
 TEST(DynDFG, RawMaclaurinHasAccumulatorChain) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/false);
+  const Maclaurin M(5, /*Simplify=*/false);
   // 1 input + 5 pow nodes + 5 add nodes (result starts passive 0.0, so
   // the first add has a single active arg).
-  EXPECT_EQ(R.graph().size(), 11u);
-  EXPECT_EQ(R.graph().numAlive(), 11u);
+  EXPECT_EQ(M.G.size(), 11u);
+  EXPECT_EQ(M.G.numAlive(), 11u);
   // Figure 3a: the raw graph interleaves terms with partial results, so
   // term4 is at level 1 but term0 is buried at level 5.
-  EXPECT_GT(R.graph().height(), 3);
+  EXPECT_GT(M.G.height(), 3);
 }
 
 TEST(DynDFG, SimplifyCollapsesAdditionChain) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  const DynDFG &G = R.graph();
+  const Maclaurin M(5, /*Simplify=*/true);
+  const DynDFG &G = M.G;
   // Figure 3b: output + 5 terms + input = 7 alive nodes.
   EXPECT_EQ(G.numAlive(), 7u);
   EXPECT_EQ(G.height(), 3); // result (0), terms (1), x (2)
@@ -56,8 +63,8 @@ TEST(DynDFG, SimplifyCollapsesAdditionChain) {
 }
 
 TEST(DynDFG, SimplifiedTermsAttachDirectlyToOutput) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  const DynDFG &G = R.graph();
+  const Maclaurin M(5, /*Simplify=*/true);
+  const DynDFG &G = M.G;
   const std::vector<NodeId> Outs = G.nodesAtLevel(0);
   ASSERT_EQ(Outs.size(), 1u);
   const DfgNode &Result = G.node(Outs[0]);
@@ -66,8 +73,8 @@ TEST(DynDFG, SimplifiedTermsAttachDirectlyToOutput) {
 }
 
 TEST(DynDFG, SimplifyPreservesOutputLabel) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  const DynDFG &G = R.graph();
+  const Maclaurin M(5, /*Simplify=*/true);
+  const DynDFG &G = M.G;
   const DfgNode &Result = G.node(G.nodesAtLevel(0)[0]);
   EXPECT_EQ(Result.Label, "result");
 }
@@ -75,8 +82,8 @@ TEST(DynDFG, SimplifyPreservesOutputLabel) {
 TEST(DynDFG, VarianceLevelFindsTermLevel) {
   // Terms at level 1 have significances {0, s1..s4} with s1..s4 ~ 0.25:
   // variance ~ 0.01 > delta = 1e-3, so S5 stops at L = 1.
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  EXPECT_EQ(R.varianceLevel(), 1);
+  const Maclaurin M(5, /*Simplify=*/true);
+  EXPECT_EQ(M.R.varianceLevel(), 1);
 }
 
 TEST(DynDFG, VarianceLevelRespectsDelta) {
@@ -94,8 +101,8 @@ TEST(DynDFG, VarianceLevelRespectsDelta) {
 }
 
 TEST(DynDFG, TruncatedAboveDropsDeepLevels) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  DynDFG T = R.graph().truncatedAbove(1);
+  const Maclaurin M(5, /*Simplify=*/true);
+  DynDFG T = M.G.truncatedAbove(1);
   // Keeps output + terms, drops the input.
   EXPECT_EQ(T.numAlive(), 6u);
   for (NodeId Id : T.nodesAtLevel(1))
@@ -113,7 +120,7 @@ TEST(DynDFG, LevelsAreShortestPathToOutput) {
   AnalysisOptions Opts;
   Opts.Simplify = false;
   const AnalysisResult R = A.analyse(Opts);
-  const DynDFG &G = R.graph();
+  const DynDFG G = A.graph(R, Opts);
   EXPECT_EQ(G.node(X.node()).Level, 1);
   EXPECT_EQ(G.node(B.node()).Level, 1);
   EXPECT_EQ(G.node(Y.node()).Level, 0);
@@ -128,7 +135,7 @@ TEST(DynDFG, DeadCodeGetsLevelMinusOne) {
   AnalysisOptions Opts;
   Opts.Simplify = false;
   const AnalysisResult R = A.analyse(Opts);
-  EXPECT_EQ(R.graph().node(Dead.node()).Level, -1);
+  EXPECT_EQ(A.graph(R, Opts).node(Dead.node()).Level, -1);
 }
 
 TEST(DynDFG, SimplifyDoesNotCollapseNonAccumulative) {
@@ -141,7 +148,7 @@ TEST(DynDFG, SimplifyDoesNotCollapseNonAccumulative) {
   IAValue R3 = R2 - 1.0;
   A.registerOutput(R3, "y");
   const AnalysisResult R = A.analyse();
-  EXPECT_EQ(R.graph().numAlive(), 4u);
+  EXPECT_EQ(A.graph(R).numAlive(), 4u);
 }
 
 TEST(DynDFG, SimplifyDoesNotCollapseFanOutNodes) {
@@ -153,7 +160,7 @@ TEST(DynDFG, SimplifyDoesNotCollapseFanOutNodes) {
   IAValue Y = (U + X) + (U + B); // U has fan-out 2
   A.registerOutput(Y, "y");
   const AnalysisResult R = A.analyse();
-  EXPECT_TRUE(R.graph().node(U.node()).Alive);
+  EXPECT_TRUE(A.graph(R).node(U.node()).Alive);
 }
 
 TEST(DynDFG, MultiplicationChainsCollapseToo) {
@@ -167,15 +174,16 @@ TEST(DynDFG, MultiplicationChainsCollapseToo) {
   A.registerOutput(P, "prod");
   const AnalysisResult R = A.analyse();
   // input + 4 factor adds + 1 surviving product head = 6.
-  EXPECT_EQ(R.graph().numAlive(), 6u);
-  const DfgNode &Head = R.graph().node(R.graph().nodesAtLevel(0)[0]);
+  const DynDFG G = A.graph(R);
+  EXPECT_EQ(G.numAlive(), 6u);
+  const DfgNode &Head = G.node(G.nodesAtLevel(0)[0]);
   EXPECT_EQ(Head.Preds.size(), 4u);
 }
 
 TEST(DynDFG, WriteDotEmitsAllAliveNodes) {
-  const AnalysisResult R = maclaurinResult(3, /*Simplify=*/true);
+  const Maclaurin M(3, /*Simplify=*/true);
   std::ostringstream OS;
-  R.graph().writeDot(OS);
+  M.G.writeDot(OS);
   const std::string Dot = OS.str();
   EXPECT_NE(Dot.find("digraph"), std::string::npos);
   EXPECT_NE(Dot.find("result"), std::string::npos);
@@ -185,12 +193,12 @@ TEST(DynDFG, WriteDotEmitsAllAliveNodes) {
   for (size_t Pos = Dot.find("shape=box"); Pos != std::string::npos;
        Pos = Dot.find("shape=box", Pos + 1))
     ++NodeCount;
-  EXPECT_EQ(NodeCount, R.graph().numAlive());
+  EXPECT_EQ(NodeCount, M.G.numAlive());
 }
 
 TEST(DynDFG, SignificancesAtLevelMatchesNodeOrder) {
-  const AnalysisResult R = maclaurinResult(5, /*Simplify=*/true);
-  const std::vector<double> Sig = R.graph().significancesAtLevel(1);
+  const Maclaurin M(5, /*Simplify=*/true);
+  const std::vector<double> Sig = M.G.significancesAtLevel(1);
   ASSERT_EQ(Sig.size(), 5u);
   // Level 1 holds the five terms; term0 contributes 0 significance.
   int Zeros = 0;

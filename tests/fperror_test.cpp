@@ -306,7 +306,7 @@ TEST(FpErrorMutation, F005FiresWithDemotionFixIt) {
   const FpErrorOptions Opts;
   const FpErrorResult R = fpErrorInterpret(A.tape(), A.outputNodes(), Opts);
   const VerifyReport Lint =
-      lintFpError(A.tape(), R, A.outputNodes(), A.labels(), Opts);
+      lintFpError(A.tape(), R, A.outputNodes(), Opts);
   EXPECT_EQ(Lint.countOf(RuleKind::FloatDemotableTask), 1u);
   const Finding *F = firstOf(Lint, RuleKind::FloatDemotableTask);
   ASSERT_NE(F, nullptr);
@@ -328,7 +328,7 @@ TEST(FpErrorMutation, F006FiresOnErrorDominatingNode) {
   Opts.DemotionTolerance = -1.0;
   const FpErrorResult R = fpErrorInterpret(A.tape(), A.outputNodes(), Opts);
   const VerifyReport Lint =
-      lintFpError(A.tape(), R, A.outputNodes(), A.labels(), Opts);
+      lintFpError(A.tape(), R, A.outputNodes(), Opts);
   EXPECT_EQ(Lint.countOf(RuleKind::ErrorDominatingNode), 1u);
   EXPECT_EQ(Lint.countOf(RuleKind::FloatDemotableTask), 0u);
   EXPECT_EQ(Lint.countOf(RuleKind::DemotionBlockedByDominator), 0u);
@@ -349,7 +349,7 @@ TEST(FpErrorMutation, F007FiresOnTotalAboveTolerance) {
   const FpErrorResult R = fpErrorInterpret(A.tape(), A.outputNodes(), Opts);
   ASSERT_GT(R.TotalErrorBound, 0.0);
   const VerifyReport Lint =
-      lintFpError(A.tape(), R, A.outputNodes(), A.labels(), Opts);
+      lintFpError(A.tape(), R, A.outputNodes(), Opts);
   EXPECT_EQ(Lint.countOf(RuleKind::TotalErrorAboveTolerance), 1u);
   const Finding *F = firstOf(Lint, RuleKind::TotalErrorAboveTolerance);
   ASSERT_NE(F, nullptr);
@@ -380,7 +380,7 @@ TEST(FpErrorMutation, F008FiresOnDemotionBlockedByDominator) {
   // precisely one node.
   Opts.DemotionTolerance = SqrB * FloatDemotionScale;
   const VerifyReport Lint =
-      lintFpError(A.tape(), R, A.outputNodes(), A.labels(), Opts);
+      lintFpError(A.tape(), R, A.outputNodes(), Opts);
   EXPECT_GT(Lint.countOf(RuleKind::DemotionBlockedByDominator), 0u);
   // The lone Add of the output level also fires F008 (a one-node level
   // blocked by its only member); the finding under test is the one
@@ -412,7 +412,7 @@ TEST(FpErrorExport, DemotionFixItSarifMatchesGolden) {
   const FpErrorOptions Opts;
   const FpErrorResult R = fpErrorInterpret(A.tape(), A.outputNodes(), Opts);
   const VerifyReport Lint =
-      lintFpError(A.tape(), R, A.outputNodes(), A.labels(), Opts);
+      lintFpError(A.tape(), R, A.outputNodes(), Opts);
   ASSERT_GT(Lint.countOf(RuleKind::FloatDemotableTask), 0u);
   std::ostringstream OS;
   writeSarif(OS, "fperr-demotion", Lint);

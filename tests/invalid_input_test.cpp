@@ -133,6 +133,17 @@ TEST_F(InvalidInputTest, TapeRecordUnaryForwardReferenceDemotesEdge) {
   EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 1u);
 }
 
+TEST_F(InvalidInputTest, TapeRecordUnaryNegativeIdDemotesEdge) {
+  Tape T;
+  T.recordInput(Interval(1.0, 2.0));
+  // A negative id other than InvalidNodeId is as invalid as a forward
+  // one: passes over the raw edge arrays index by argument id.
+  const NodeId Id = T.recordUnary(OpKind::Sin, Interval(-1.0, 1.0), -5,
+                                  Interval(0.0, 1.0));
+  EXPECT_EQ(T.numArgs(Id), 0u);
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 1u);
+}
+
 TEST_F(InvalidInputTest, TapeRecordBinaryValidatesArguments) {
   Tape T;
   const NodeId A = T.recordInput(Interval(1.0, 2.0));
@@ -524,7 +535,7 @@ TEST_F(InvalidInputTest, SuggestTasksOnDivergedResultRecoversEmpty) {
   const AnalysisResult R = A.analyse();
   ASSERT_FALSE(R.isValid());
   DiagSink::global().clear();
-  const auto Tasks = suggestTasks(R);
+  const auto Tasks = suggestTasks(A.graph(R), R);
   EXPECT_TRUE(Tasks.empty());
   EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidState), 1u);
 }

@@ -13,26 +13,39 @@ using namespace scorpio;
 
 namespace {
 
-AnalysisResult maclaurinResult(int N) {
-  return apps::analyseMaclaurin(0.25, 0.5, N);
-}
+/// The Maclaurin analysis of Listing 6 with its DynDFG view.
+struct Maclaurin {
+  Analysis A;
+  AnalysisResult R;
+  DynDFG G;
+
+  explicit Maclaurin(int N) {
+    apps::recordMaclaurin(A, 0.25, 0.5, N);
+    R = A.analyse();
+    G = A.graph(R);
+  }
+  std::vector<TaskSuggestion>
+  tasks(const TaskSuggestionOptions &Opts = {}) const {
+    return suggestTasks(G, R, Opts);
+  }
+};
 
 TEST(TaskSuggestion, OneTaskPerTermNode) {
-  const AnalysisResult R = maclaurinResult(5);
-  const auto Tasks = suggestTasks(R);
+  const Maclaurin M(5);
+  const auto Tasks = M.tasks();
   EXPECT_EQ(Tasks.size(), 5u); // the five terms at level 1
 }
 
 TEST(TaskSuggestion, LabelsComeFromRegistration) {
-  const AnalysisResult R = maclaurinResult(4);
-  const auto Tasks = suggestTasks(R);
+  const Maclaurin M(4);
+  const auto Tasks = M.tasks();
   for (const TaskSuggestion &T : Tasks)
     EXPECT_EQ(T.Label.rfind("term", 0), 0u) << T.Label;
 }
 
 TEST(TaskSuggestion, OrderedBySignificance) {
-  const AnalysisResult R = maclaurinResult(6);
-  const auto Tasks = suggestTasks(R);
+  const Maclaurin M(6);
+  const auto Tasks = M.tasks();
   // term1 first (most significant), term0 last (the constant).
   EXPECT_EQ(Tasks.front().Label, "term1");
   EXPECT_EQ(Tasks.back().Label, "term0");
@@ -42,8 +55,8 @@ TEST(TaskSuggestion, OrderedBySignificance) {
 }
 
 TEST(TaskSuggestion, ConstantTermFlagged) {
-  const AnalysisResult R = maclaurinResult(5);
-  const auto Tasks = suggestTasks(R);
+  const Maclaurin M(5);
+  const auto Tasks = M.tasks();
   int Flagged = 0;
   for (const TaskSuggestion &T : Tasks)
     if (T.ReplaceableByConstant) {
@@ -54,26 +67,25 @@ TEST(TaskSuggestion, ConstantTermFlagged) {
 }
 
 TEST(TaskSuggestion, ClauseValuesStrictlyInsideUnitInterval) {
-  const AnalysisResult R = maclaurinResult(8);
-  for (const TaskSuggestion &T : suggestTasks(R)) {
+  const Maclaurin M(8);
+  for (const TaskSuggestion &T : M.tasks()) {
     EXPECT_GT(T.ClauseSignificance, 0.0);
     EXPECT_LT(T.ClauseSignificance, 1.0);
   }
 }
 
 TEST(TaskSuggestion, InputsPointIntoNextLevel) {
-  const AnalysisResult R = maclaurinResult(5);
-  const DynDFG &G = R.graph();
-  for (const TaskSuggestion &T : suggestTasks(R))
+  const Maclaurin M(5);
+  for (const TaskSuggestion &T : M.tasks())
     for (NodeId In : T.Inputs)
-      EXPECT_EQ(G.node(In).Level, 2) << T.Label; // the input x
+      EXPECT_EQ(M.G.node(In).Level, 2) << T.Label; // the input x
 }
 
 TEST(TaskSuggestion, ExplicitLevelOverride) {
-  const AnalysisResult R = maclaurinResult(5);
+  const Maclaurin M(5);
   TaskSuggestionOptions Opts;
   Opts.Level = 0; // the output itself
-  const auto Tasks = suggestTasks(R, Opts);
+  const auto Tasks = M.tasks(Opts);
   ASSERT_EQ(Tasks.size(), 1u);
   EXPECT_EQ(Tasks[0].Label, "result");
 }
@@ -82,8 +94,8 @@ TEST(TaskSuggestion, ClauseValuesDriveRuntimeInAnalysisOrder) {
   // Feed the suggested clause significances to the real runtime: at
   // ratio r, the accurately executed tasks must be exactly the top-
   // ranked suggestions.
-  const AnalysisResult R = maclaurinResult(6);
-  const auto Tasks = suggestTasks(R);
+  const Maclaurin M(6);
+  const auto Tasks = M.tasks();
   std::vector<double> Sig;
   std::vector<bool> HasApprox;
   for (const TaskSuggestion &T : Tasks) {
@@ -97,9 +109,9 @@ TEST(TaskSuggestion, ClauseValuesDriveRuntimeInAnalysisOrder) {
 }
 
 TEST(TaskSuggestion, PrintReport) {
-  const AnalysisResult R = maclaurinResult(4);
+  const Maclaurin M(4);
   std::ostringstream OS;
-  printTaskSuggestions(suggestTasks(R), OS);
+  printTaskSuggestions(M.tasks(), OS);
   const std::string S = OS.str();
   EXPECT_NE(S.find("term1"), std::string::npos);
   EXPECT_NE(S.find("significance("), std::string::npos);
@@ -118,7 +130,7 @@ TEST(TaskSuggestion, FallsBackToLevelOneWithoutVariance) {
   A.registerOutput(Y, "y");
   const AnalysisResult R = A.analyse();
   ASSERT_EQ(R.varianceLevel(), -1);
-  const auto Tasks = suggestTasks(R);
+  const auto Tasks = suggestTasks(A.graph(R), R);
   EXPECT_EQ(Tasks.size(), 2u);
 }
 

@@ -263,7 +263,7 @@ verify::VerifyReport fperrAudit(Analysis &A, const AnalysisOptions &AOpts) {
   if (RF.isValid())
     verify::checkDynamicFpError(Fp, RF.nodeSignificances(), FpOpts);
   Fp.Report.merge(
-      verify::lintFpError(A.tape(), Fp, A.outputNodes(), A.labels(), FpOpts));
+      verify::lintFpError(A.tape(), Fp, A.outputNodes(), FpOpts));
   return std::move(Fp.Report);
 }
 
