@@ -11,14 +11,13 @@
 #include "verify/TapeVerifier.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <optional>
 
 using namespace scorpio;
 
@@ -213,8 +212,8 @@ bool auditCachedShard(const LoadedTape &Loaded,
 }
 
 /// Submits \p Job to \p Pool under \p Group, running it inline when the
-/// pool refuses (shutdown during process teardown): every result slot
-/// is published exactly once either way.  Callers must not hold locks
+/// pool refuses (shutdown during process teardown): every job runs
+/// exactly once either way.  Callers must not hold locks
 /// the job itself acquires.
 void submitOrRun(rt::ThreadPool &Pool, rt::WaitGroup &Group,
                  const std::function<void()> &Job) {
@@ -834,101 +833,89 @@ ParallelAnalysis::mergeStapStreaming(const std::vector<std::string> &Paths,
     return AO;
   }();
 
-  const size_t Window = std::max(1u, Options.PrefetchWindow);
-  // Pipelined prefetch slots: Slots[I % Window] carries Paths[I] from
-  // submission to consumption.  The pacing below never submits path
-  // I + Window before path I was consumed, so a slot is always empty
-  // when its job is submitted and at most Window tapes exist at once.
-  // A job loads, checks and analyses its shard, then publishes Done —
-  // with the result, or poisoned with the error, so the consumer never
-  // waits on a slot that will never fill.
-  struct Slot {
-    bool Done = false;
-    std::optional<ShardResult> Result; // set when Done and not poisoned
-    diag::Status Error = diag::Status::ok();
-  };
-  std::vector<Slot> Slots(Window);
-  std::mutex Mutex;
-  std::condition_variable SlotReady;
-  size_t InFlightTapes = 1; // Paths[0]'s tape is already loaded
+  // Claim-loop runners: each claims the next path index, loads that
+  // shard (index 0 takes the reference tape instead of loading it
+  // twice), checks and analyses it into Shards[I], and drops the tape
+  // before it claims again.  Each runner holds at most one tape, so
+  // Runners <= PrefetchWindow bounds the tapes in flight.  A failing
+  // shard lowers FailedAt to its index when that is the smallest
+  // failure so far, and nobody claims past FailedAt: every shard
+  // before it has been analysed when the runners finish, and the
+  // merge reports the first failure in path order.
+  const size_t N = Paths.size();
+  rt::ThreadPool &Pool = rt::ThreadPool::shared(
+      Options.NumThreads, resolveStealSeed(Options.StealSeed));
+  const size_t Runners =
+      std::min({static_cast<size_t>(std::max(1u, Options.PrefetchWindow)),
+                static_cast<size_t>(Pool.numThreads()), N});
+  std::vector<ShardResult> Shards(N);
+  std::atomic<size_t> NextPath{0};
+  std::atomic<size_t> FailedAt{N};
+  std::atomic<size_t> InFlightTapes{1}; // Paths[0]'s tape is already loaded
+  std::mutex Mutex; // guards FirstError and the Stats fold-in
+  diag::Status FirstError = diag::Status::ok();
   Stats->MaxTapesInFlight = 1;
 
-  const auto RunJob = [&](size_t I) {
-    // Paths[0]'s job takes the reference tape instead of loading it
-    // twice.
-    diag::Expected<LoadedTape> Loaded =
-        I == 0 ? std::move(First) : loadStap(Paths[I]);
-    const bool Held = Loaded.hasValue();
-    if (Held && I != 0) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Stats->MaxTapesInFlight =
-          std::max(Stats->MaxTapesInFlight, ++InFlightTapes);
-    }
+  // Checks and analyses one loaded shard; the tape dies before this
+  // returns.  A refused shard is released unanalysed, so it never
+  // reaches the cache either.
+  const auto AnalyseShard = [&](size_t I, LoadedTape Tape,
+                                StreamingMergeStats &Local) {
+    if (!HasOptions(Tape))
+      return ShardError(I, diag::ErrC::InvalidArgument, NoMeta);
+    if (!shardMetaMatches(*Tape.Meta, Reference))
+      return ShardError(I, diag::ErrC::InvalidArgument,
+                        " was recorded under different analysis options "
+                        "than '" +
+                            Paths[0] + "'");
+    Shards[I] = analyseOrCacheShard(std::move(Tape), Reference,
+                                    Options.Verify, Options.Cache,
+                                    Options.ResultCache, Options.CacheAudit,
+                                    &Local);
+    return diag::Status::ok();
+  };
+  const auto Load = [&](size_t I) {
+    return I == 0 ? std::move(First) : loadStap(Paths[I]);
+  };
+  const auto RunShards = [&] {
     StreamingMergeStats Local;
-    std::optional<ShardResult> Result;
-    diag::Status Error = diag::Status::ok();
-    // A refused shard is released unanalysed, so it never reaches the
-    // cache either.
-    if (!Held)
-      Error = ShardError(I, Loaded.status().code(),
-                         ": " + Loaded.status().message());
-    else if (!HasOptions(Loaded.value()))
-      Error = ShardError(I, diag::ErrC::InvalidArgument, NoMeta);
-    else if (!shardMetaMatches(*Loaded.value().Meta, Reference))
-      Error = ShardError(I, diag::ErrC::InvalidArgument,
-                         " was recorded under different analysis options "
-                         "than '" +
-                             Paths[0] + "'");
-    else
-      Result = analyseOrCacheShard(std::move(Loaded.value()), Reference,
-                                   Options.Verify, Options.Cache,
-                                   Options.ResultCache, Options.CacheAudit,
-                                   &Local);
+    size_t MaxTapes = 1;
+    for (size_t I; (I = NextPath.fetch_add(1)) < FailedAt.load();) {
+      diag::Expected<LoadedTape> Loaded = Load(I);
+      diag::Status Status = diag::Status::ok();
+      if (!Loaded.hasValue()) {
+        Status = ShardError(I, Loaded.status().code(),
+                            ": " + Loaded.status().message());
+      } else {
+        if (I != 0)
+          MaxTapes = std::max(MaxTapes, ++InFlightTapes);
+        Status = AnalyseShard(I, std::move(Loaded.value()), Local);
+        --InFlightTapes;
+      }
+      if (Status.isOk())
+        continue;
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (I < FailedAt.load()) {
+        FailedAt.store(I);
+        FirstError = std::move(Status);
+      }
+    }
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (Held)
-      --InFlightTapes;
     Stats->CacheHits += Local.CacheHits;
     Stats->CacheMisses += Local.CacheMisses;
     Stats->Analysed += Local.Analysed;
     Stats->CacheAuditRejected += Local.CacheAuditRejected;
-    Slot &S = Slots[I % Window];
-    S.Result = std::move(Result);
-    S.Error = std::move(Error);
-    S.Done = true;
-    SlotReady.notify_all();
+    Stats->MaxTapesInFlight = std::max(Stats->MaxTapesInFlight, MaxTapes);
   };
 
-  rt::ThreadPool &Pool = rt::ThreadPool::shared(
-      Options.NumThreads, resolveStealSeed(Options.StealSeed));
   rt::WaitGroup Group;
-  // Declared after every local the jobs capture: any return path —
-  // including a poisoned-slot error mid-loop — drains the outstanding
-  // jobs before that state goes out of scope.
-  struct DrainOnExit {
-    rt::WaitGroup &G;
-    ~DrainOnExit() { G.wait(); }
-  } Drain{Group};
+  for (size_t R = 0; R != Runners; ++R)
+    submitOrRun(Pool, Group, RunShards);
+  Group.wait();
 
-  std::vector<ShardResult> Shards;
-  Shards.reserve(Paths.size());
-  size_t NextToSubmit = 0; // next Paths index to hand to the pool
-  for (size_t I = 0; I != Paths.size(); ++I) {
-    // No lock held here: jobs acquire Mutex, and the inline fallback
-    // runs the job on this thread.
-    for (; NextToSubmit != std::min(I + Window, Paths.size());
-         ++NextToSubmit)
-      submitOrRun(Pool, Group, [&RunJob, J = NextToSubmit] { RunJob(J); });
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Slot &S = Slots[I % Window];
-    SlotReady.wait(Lock, [&] { return S.Done; });
-    if (!S.Error.isOk())
-      // First poisoned slot in path order rejects the merge;
-      // DrainOnExit waits out the stragglers.
-      return std::move(S.Error);
-    Shards.push_back(std::move(*S.Result));
-    ++Stats->ShardsMerged;
-    S = Slot();
-  }
+  Stats->ShardsMerged = FailedAt.load();
+  if (Stats->ShardsMerged != N)
+    return FirstError;
   return mergeShards(std::move(Shards),
                      Options.Verify != ShardVerification::Off);
 }

@@ -191,13 +191,16 @@ struct StreamingMergeOptions {
   /// Anything other than Off bypasses the result cache (cached entries
   /// carry no verification findings).
   ShardVerification Verify = ShardVerification::Off;
-  /// Upper bound on loaded-but-unconsumed tapes, including the one
-  /// being analysed; values < 1 behave as 1.  This — not the shard
-  /// count — bounds the merge's memory.
+  /// Upper bound on simultaneously loaded tapes; values < 1 behave as
+  /// 1.  The merge runs min(PrefetchWindow, pool threads, #paths)
+  /// claim-loop runners, each holding at most one tape at a time, so
+  /// this — not the shard count — bounds the merge's memory.
   unsigned PrefetchWindow = 4;
-  /// Worker threads loading *and analysing* shards (0 = hardware
-  /// concurrency).  The merge consumer only folds finished results in
-  /// path order.
+  /// Worker threads of the pool the runners run on (0 = hardware
+  /// concurrency).  Each runner claims the next path index, loads,
+  /// checks and analyses that shard, and drops its tape before it
+  /// claims again; results are stored by path index, so the schedule
+  /// never reaches the report.
   unsigned NumThreads = 0;
   /// Victim-selection seed of the shared work-stealing pool (0 = the
   /// pool default).  Any seed produces a byte-identical merged report;
@@ -227,7 +230,9 @@ struct StreamingMergeOptions {
 
 /// Counters one mergeStapStreaming() call fills (all zero-initialized).
 struct StreamingMergeStats {
-  /// Shards folded into the merged result.
+  /// Shards folded into the merged result.  On a rejected merge, the
+  /// path index of the first bad shard: every shard before it was
+  /// analysed.
   size_t ShardsMerged = 0;
   /// Shards served from / missed in the result cache (both zero when
   /// the cache was off or bypassed).
@@ -338,20 +343,18 @@ public:
   /// Bounded-memory streaming merge of on-disk shard tapes, the only
   /// engine that turns `.stap` shards into a merged report.  Every
   /// shard analyses under the reference options recorded in
-  /// \p Paths[0]'s META, read before any work is submitted.  Each path
-  /// is then loaded through the loadStap trust boundary (a small
-  /// prefetch window ahead, over the shared work-stealing pool),
-  /// META-checked, analysed (or served from the result cache) on the
-  /// worker, and released before the consumer folds the next shard in
-  /// path order.  A shard without META options, or one recorded under
-  /// options other than the reference, is refused — never analysed,
-  /// never stored — with an error Status naming its path (and, for a
-  /// mismatch, \p Paths[0]).  A shard that fails mid-pipeline still
-  /// publishes its slot (poisoned, carrying the error), so the consumer
-  /// always makes progress and reports the first bad shard in path
-  /// order, without every tape having been resident.  The merged report
-  /// is byte-identical to loading every tape and calling
-  /// analyseShardTape + mergeShards.
+  /// \p Paths[0]'s META, read before any work is submitted.  Claim-loop
+  /// runners on the shared work-stealing pool then take the paths in
+  /// index order: each is loaded through the loadStap trust boundary,
+  /// META-checked, analysed (or served from the result cache) and
+  /// released before its runner claims the next.  A shard without META
+  /// options, or one recorded under options other than the reference,
+  /// is refused — never analysed, never stored — with an error Status
+  /// naming its path (and, for a mismatch, \p Paths[0]).  No runner
+  /// claims past the smallest failing index, so the merge reports the
+  /// first bad shard in path order, without every tape having been
+  /// resident.  The merged report is byte-identical to loading every
+  /// tape and calling analyseShardTape + mergeShards.
   static diag::Expected<ParallelAnalysisResult>
   mergeStapStreaming(const std::vector<std::string> &Paths,
                      const StreamingMergeOptions &Options = {},

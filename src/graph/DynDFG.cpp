@@ -16,6 +16,17 @@ DynDFG DynDFG::fromTape(const Tape &T,
   DynDFG G;
   SCORPIO_REQUIRE(Significance.size() == T.size(), diag::ErrC::SizeMismatch,
                   "DynDFG::fromTape: need one significance per tape node", G);
+  const auto OnTape = [&](NodeId Id) {
+    return Id >= 0 && static_cast<size_t>(Id) < T.size();
+  };
+  for (const auto &Entry : Labels)
+    SCORPIO_REQUIRE(OnTape(Entry.first), diag::ErrC::OutOfRange,
+                    "DynDFG::fromTape: label names a node outside the tape",
+                    G);
+  for (NodeId Out : Outputs)
+    SCORPIO_REQUIRE(OnTape(Out), diag::ErrC::OutOfRange,
+                    "DynDFG::fromTape: output names a node outside the tape",
+                    G);
   const TapeLevels Raw = computeTapeLevels(T, Outputs, /*Simplify=*/false);
   const std::span<const TapeOp> Ops = T.ops();
   const std::span<const TapeEdges> Edges = T.edges();

@@ -67,7 +67,9 @@ public:
 
   /// Builds the graph from a tape.  \p Significance must have one entry
   /// per tape node; \p Labels maps tape node ids to user names;
-  /// \p Outputs lists the registered output nodes.
+  /// \p Outputs lists the registered output nodes.  A size mismatch or
+  /// a label or output id outside the tape is diagnosed and yields an
+  /// empty graph.
   static DynDFG fromTape(const Tape &T,
                          const std::vector<double> &Significance,
                          const std::map<NodeId, std::string> &Labels,

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 using namespace scorpio;
@@ -89,16 +88,16 @@ diag::Expected<ShardResult> parseEntry(const std::string &Bytes,
                                      static_cast<size_t>(PayloadSize)));
 }
 
+/// Reads the whole file at \p Path into \p Out with one sized read.
 bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream IS(Path, std::ios::binary);
+  std::ifstream IS(Path, std::ios::binary | std::ios::ate);
   if (!IS)
     return false;
-  std::ostringstream OS;
-  OS << IS.rdbuf();
-  if (!IS.good() && !IS.eof())
+  const std::streamsize Size = IS.tellg();
+  if (Size < 0 || !IS.seekg(0))
     return false;
-  Out = OS.str();
-  return true;
+  Out.resize(static_cast<size_t>(Size));
+  return static_cast<bool>(IS.read(Out.data(), Size));
 }
 
 } // namespace
@@ -135,30 +134,43 @@ std::string ResultCache::entryPath(uint64_t Key) const {
 }
 
 bool ResultCache::lookup(uint64_t Key, ShardResult &Out) {
-  std::lock_guard<std::mutex> Lock(Mutex);
+  // The entry is read and parsed without the lock: entries are
+  // content-addressed and a store renames a fully written temp file
+  // over the entry, so a reader sees a whole old file, a whole new one
+  // or none.  The lock only guards the counters and the eviction of a
+  // corrupt entry.
   const std::string Path = entryPath(Key);
   std::string Bytes;
   if (!readFile(Path, Bytes)) {
     // Absent entry: the ordinary cold-cache miss.
+    std::lock_guard<std::mutex> Lock(Mutex);
     ++Counters.Misses;
     return false;
   }
   diag::Expected<ShardResult> Parsed = parseEntry(Bytes, Key);
   if (!Parsed.hasValue()) {
     // Present but invalid: report as a miss so the caller re-analyses,
-    // and (when allowed) evict so the entry is rewritten cleanly.
+    // and (when allowed) evict so the entry is rewritten cleanly.  The
+    // entry is re-read under the lock, which every in-process store
+    // holds across its rename, so an entry stored since the read above
+    // is not evicted in its place.
+    std::lock_guard<std::mutex> Lock(Mutex);
     ++Counters.CorruptEntries;
     ++Counters.Misses;
-    if (Writable) {
+    std::string Current;
+    if (Writable && readFile(Path, Current) && Current == Bytes) {
       std::error_code EC;
       std::filesystem::remove(Path, EC);
     }
     return false;
   }
-  ++Counters.Hits;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Counters.Hits;
+  }
   // Touch the entry so LRU eviction sees it as recently used.  Best
-  // effort: a failed touch (read-only directory) costs eviction
-  // accuracy, never correctness.
+  // effort: a failed touch (read-only directory, entry evicted or
+  // invalidated meanwhile) costs eviction accuracy, never correctness.
   if (Writable) {
     std::error_code EC;
     std::filesystem::last_write_time(

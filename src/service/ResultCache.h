@@ -43,7 +43,10 @@ namespace service {
 /// several analysis workers of one process; concurrent processes
 /// sharing a directory are safe too (stores are atomic renames and
 /// last-writer-wins on identical keys, which by construction hold
-/// identical payloads).
+/// identical payloads).  lookup() reads and parses its entry without
+/// the lock — the rename protocol means a reader sees a whole old
+/// file, a whole new one or none — and locks only to count; store(),
+/// invalidate() and the budget eviction run under the lock.
 class ResultCache : public ShardResultCache {
 public:
   /// Observability counters (monotonic over the cache's lifetime).

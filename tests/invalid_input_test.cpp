@@ -16,6 +16,7 @@
 #include "core/RangeSweep.h"
 #include "core/SplitAnalysis.h"
 #include "core/TaskSuggestion.h"
+#include "graph/DynDFG.h"
 #include "interval/Interval.h"
 #include "kernels/KernelRegistry.h"
 #include "quality/Image.h"
@@ -29,6 +30,8 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 using namespace scorpio;
@@ -184,6 +187,29 @@ TEST_F(InvalidInputTest, TapeBatchSweepSkipsBadSeeds) {
   EXPECT_EQ(Batch.at(In, 0), T.adjoint(In));
   EXPECT_NE(Batch.at(In, 0), Interval(0.0, 0.0));
   EXPECT_EQ(Batch.at(In, 1), Interval(0.0, 0.0));
+}
+
+TEST_F(InvalidInputTest, DynDfgFromTapeRejectsIdsOutsideTheTape) {
+  Tape T;
+  const NodeId In = T.recordInput(Interval(1.0, 2.0));
+  const NodeId Out =
+      T.recordUnary(OpKind::Neg, -Interval(1.0, 2.0), In, Interval(-1.0));
+  const std::vector<double> Sig = {1.0, 1.0};
+
+  // A label or an output naming a node past either end of the tape is
+  // diagnosed and yields an empty graph instead of a write out of
+  // bounds.
+  const std::map<NodeId, std::string> BadLabel = {{In, "x"}, {7, "ghost"}};
+  EXPECT_EQ(DynDFG::fromTape(T, Sig, BadLabel, {Out}).size(), 0u);
+  EXPECT_EQ(DynDFG::fromTape(T, Sig, {{-1, "neg"}}, {Out}).size(), 0u);
+  EXPECT_EQ(DynDFG::fromTape(T, Sig, {}, {Out, 2}).size(), 0u);
+  EXPECT_EQ(DynDFG::fromTape(T, Sig, {}, {InvalidNodeId}).size(), 0u);
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::OutOfRange), 4u);
+
+  // In-range ids still build the whole graph.
+  const DynDFG G = DynDFG::fromTape(T, Sig, {{In, "x"}}, {Out});
+  EXPECT_EQ(G.size(), 2u);
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::OutOfRange), 4u);
 }
 
 //===----------------------------------------------------------------------===//

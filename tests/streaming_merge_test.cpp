@@ -21,11 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace scorpio;
@@ -208,6 +211,56 @@ TEST_F(StreamingMergeTest, MidStreamLoadFailureDoesNotStallThePipeline) {
     EXPECT_NE(R.status().message().find(Victim), std::string::npos)
         << R.status().message();
   }
+}
+
+TEST_F(StreamingMergeTest, TwoBadShardsRejectWithTheFirstInPathOrder) {
+  // Adjacent bad shards, so wide runners claim both at once.  The
+  // earlier one is a full registry tape re-stamped with other options:
+  // it loads completely and is refused only at the META check.  The
+  // later one fails at once on load, so under threads the later
+  // failure is usually seen first.  Either way the merge must report
+  // the earlier shard, after folding exactly the shards before it.
+  TempDir Dir("scorpio_stream_two_bad");
+  recordRegistryShards(Dir.Path);
+  const std::vector<std::string> Paths =
+      listStapShards(Dir.Path).valueOr({});
+  ASSERT_GT(Paths.size(), 4u);
+  const size_t Early = 1;
+  const size_t Late = 2;
+  {
+    diag::Expected<LoadedTape> L = loadStap(Paths[Early]);
+    ASSERT_TRUE(L.hasValue()) << L.status().message();
+    AnalysisOptions Other;
+    Other.Delta = 2 * Other.Delta + 1;
+    const TapeMeta Mismatched =
+        makeShardMeta(L.value().Meta->ShardName, Early, Other);
+    const diag::Status S = saveStap(Paths[Early], L.value().T,
+                                    L.value().Reg, {}, {}, &Mismatched);
+    ASSERT_TRUE(S.isOk()) << S.message();
+  }
+  {
+    std::ofstream OS(Paths[Late], std::ios::binary | std::ios::trunc);
+    OS << "STAPtruncated-late";
+  }
+  for (const unsigned Threads : {1u, 4u})
+    for (const unsigned Window : {1u, 2u, 6u}) {
+      StreamingMergeOptions Options;
+      Options.NumThreads = Threads;
+      Options.PrefetchWindow = Window;
+      StreamingMergeStats Stats;
+      diag::Expected<ParallelAnalysisResult> R =
+          ParallelAnalysis::mergeStapStreaming(Paths, Options, &Stats);
+      ASSERT_FALSE(R.hasValue());
+      const std::string &Message = R.status().message();
+      EXPECT_NE(Message.find(Paths[Early]), std::string::npos)
+          << "threads " << Threads << ", window " << Window << ": "
+          << Message;
+      EXPECT_EQ(Message.find(Paths[Late]), std::string::npos)
+          << "threads " << Threads << ", window " << Window << ": "
+          << Message;
+      EXPECT_EQ(Stats.ShardsMerged, Early)
+          << "threads " << Threads << ", window " << Window;
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -763,6 +816,83 @@ TEST_F(StreamingMergeTest, CacheBudgetEvictsLeastRecentlyUsedEntries) {
   StreamingMergeStats Warm;
   EXPECT_EQ(Reference, streamJson(Paths, Options, &Warm));
   EXPECT_EQ(Warm.CacheHits + Warm.CacheMisses, 6u);
+}
+
+TEST_F(StreamingMergeTest, ConcurrentLookupStoreInvalidateNeverServesATornEntry) {
+  // Four threads race lookups, stores and invalidations over six keys
+  // on a read-write cache whose budget holds about three entries, so
+  // evictions race too.  Lookups read without the cache lock; every
+  // hit must still be exactly the result stored under its key, and
+  // every lookup must count as one hit or one miss.
+  TempDir Shards("scorpio_cache_race_shards");
+  TempDir Cache("scorpio_cache_race_dir");
+  constexpr int NumKeys = 6;
+  std::vector<ShardResult> Results;
+  std::vector<std::string> Expected;
+  for (int I = 0; I != NumKeys; ++I) {
+    const std::string Path = Shards.Path + "/s" + std::to_string(I) + ".stap";
+    const TapeMeta Meta =
+        makeShardMeta("sq" + std::to_string(I), static_cast<uint64_t>(I), {});
+    writeSquareShard(Path, 1.0 + I, 2.0 + I, &Meta);
+    diag::Expected<LoadedTape> L = loadStap(Path);
+    ASSERT_TRUE(L.hasValue()) << L.status().message();
+    Results.push_back(
+        ParallelAnalysis::analyseShardTape(std::move(L.value()), {}));
+    Expected.push_back(ParallelAnalysis::serializeShardResult(Results.back()));
+  }
+  const auto KeyOf = [](int I) { return 0x5eed0000ULL + I; };
+  uint64_t EntrySize = 0;
+  {
+    service::ResultCache Probe(Cache.Path);
+    ASSERT_TRUE(Probe.store(KeyOf(0), Results[0]));
+    EntrySize = std::filesystem::file_size(
+        Cache.Path + "/" + service::ResultCache::entryFileName(KeyOf(0)));
+  }
+  ASSERT_GT(EntrySize, 0u);
+
+  service::ResultCache RC(Cache.Path, /*Writable=*/true, 3 * EntrySize);
+  constexpr int NumThreads = 4;
+  constexpr int OpsPerThread = 250;
+  std::atomic<size_t> Lookups{0};
+  std::atomic<size_t> Hits{0};
+  std::atomic<size_t> Torn{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != NumThreads; ++T)
+    Workers.emplace_back([&, T] {
+      std::mt19937 Rng(static_cast<unsigned>(T) + 1);
+      for (int Op = 0; Op != OpsPerThread; ++Op) {
+        const int I = static_cast<int>(Rng() % NumKeys);
+        switch (Rng() % 4) {
+        case 0:
+          RC.store(KeyOf(I), Results[static_cast<size_t>(I)]);
+          break;
+        case 1:
+          RC.invalidate(KeyOf(I));
+          break;
+        default: {
+          ShardResult Out;
+          ++Lookups;
+          if (!RC.lookup(KeyOf(I), Out))
+            break;
+          ++Hits;
+          if (ParallelAnalysis::serializeShardResult(Out) !=
+              Expected[static_cast<size_t>(I)])
+            ++Torn;
+          break;
+        }
+        }
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  const service::ResultCache::Stats Stats = RC.stats();
+  EXPECT_EQ(Torn.load(), 0u);
+  EXPECT_EQ(Stats.Hits + Stats.Misses, Lookups.load());
+  EXPECT_EQ(Stats.Hits, Hits.load());
+  EXPECT_EQ(Stats.CorruptEntries, 0u);
+  EXPECT_EQ(Stats.WriteFailures, 0u);
+  EXPECT_GT(Stats.Stores, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,8 +17,8 @@
 /// must match those of the first shard in path order: a directory with
 /// a META-less or mismatched shard is refused, naming it.
 ///
-/// The merge is bounded-memory: shards are prefetched a small window
-/// ahead, analysed and released one at a time, so a thousand-shard
+/// The merge is bounded-memory: at most --window workers each load,
+/// analyse and release one shard at a time, so a thousand-shard
 /// directory needs the footprint of --window tapes, not of all of them.
 /// With --cache, per-shard results are served from a content-addressed
 /// on-disk cache keyed by the tape bytes, the analysis options and the
