@@ -15,6 +15,9 @@
 //  * energy falls as the ratio falls; full approximation reduces energy
 //    by 31%-91% (mean ~56%) versus fully accurate execution.
 //
+// Usage: fig7_sweep [out-dir]   (out-dir, default the current directory,
+// receives the plot-ready fig7_<app>.csv series)
+//
 //===----------------------------------------------------------------------===//
 
 #include "apps/blackscholes/BlackScholes.h"
@@ -26,9 +29,10 @@
 #include "quality/Metrics.h"
 #include "support/Table.h"
 
+#include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <functional>
-#include <cctype>
 #include <iostream>
 
 using namespace scorpio;
@@ -52,13 +56,14 @@ struct AppSeries {
   SeriesPoint Perf[5];
 };
 
-/// Writes one plot-ready CSV per application (fig7_<app>.csv).
-void writeSeriesCsv(const AppSeries &S) {
+/// Writes one plot-ready CSV per application (<OutDir>/fig7_<app>.csv);
+/// false when the file cannot be written.
+bool writeSeriesCsv(const AppSeries &S, const std::filesystem::path &OutDir) {
   std::string File = "fig7_";
   for (char C : S.Name)
     File += C == ' ' ? '_' : static_cast<char>(std::tolower(C));
   File += ".csv";
-  std::ofstream OS(File);
+  std::ofstream OS(OutDir / File);
   Table T({"ratio", "sgnf_quality", "sgnf_op_joules", "sgnf_seconds",
            "perf_quality", "perf_op_joules"});
   for (int I = 0; I < 5; ++I) {
@@ -70,6 +75,12 @@ void writeSeriesCsv(const AppSeries &S) {
               P.Valid ? formatDouble(P.OpJoules, 8) : ""});
   }
   T.printCsv(OS);
+  OS.close();
+  if (OS)
+    return true;
+  std::cerr << "fig7_sweep: cannot write " << (OutDir / File).string()
+            << "\n";
+  return false;
 }
 
 void printSeries(const AppSeries &S) {
@@ -206,7 +217,10 @@ AppSeries runBlackScholes() {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  // An empty path writes into the current directory.
+  const std::filesystem::path OutDir =
+      Argc > 1 ? std::filesystem::path(Argv[1]) : std::filesystem::path();
   std::cout << "=== Figure 7: quality and energy vs accurate-task ratio "
                "===\n";
   std::cout << "(energy is the deterministic operation-cost model; "
@@ -215,11 +229,15 @@ int main() {
                "DESIGN.md)\n";
   AppSeries All[] = {runSobel(), runDct(), runFisheye(), runNBody(),
                      runBlackScholes()};
+  bool Written = true;
   for (const AppSeries &S : All) {
     printSeries(S);
-    writeSeriesCsv(S);
+    Written = writeSeriesCsv(S, OutDir) && Written;
   }
-  std::cout << "\n(plot-ready series written to fig7_<app>.csv)\n";
+  if (!Written)
+    return 1;
+  std::cout << "\n(plot-ready series written to "
+            << (OutDir / "fig7_<app>.csv").string() << ")\n";
 
   // Section 4.3 headline: energy reduction at full approximation.
   std::cout << "\n--- energy reduction at ratio 0 vs ratio 1 (op model) "

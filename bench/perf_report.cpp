@@ -16,7 +16,7 @@
 //     (SIMD) backend versus the forced scalar backend — the pure
 //     vectorization win, gated at >= 2.0 on SIMD-capable builds.
 //   * sharded_speedup_t2 / sharded_speedup_t4: tile-sharded Sobel
-//     analysis on a 2-/4-thread work-stealing pool versus a single
+//     analysis on a 2-/4-thread pool versus a single
 //     thread (sharded_sobel_speedup keeps the t4 ratio under its
 //     historical key).  Recorded always; the >1.0 gate needs more than
 //     one hardware thread, and the scaling gate (t4 >= 1.3) more than
@@ -635,7 +635,7 @@ int main() {
   const bool SimdGate = simd::NativeLanes > 1;
   const bool ShardGate = std::thread::hardware_concurrency() > 1;
   // The scaling gate proper: with more than two hardware threads the
-  // work-stealing driver must buy a real speedup at 4 workers, not
+  // sharded analysis must buy a real speedup at 4 workers, not
   // just avoid a slowdown.  On one- and two-core boxes the ratio is
   // still recorded and labelled, just not enforced.
   const bool ShardScalingGate = std::thread::hardware_concurrency() > 2;

@@ -211,31 +211,6 @@ bool auditCachedShard(const LoadedTape &Loaded,
   return !verify::auditStoredSignificance(Abs, Stored, AbsOpts).hasErrors();
 }
 
-/// Submits \p Job to \p Pool under \p Group, running it inline when the
-/// pool refuses (shutdown during process teardown): every job runs
-/// exactly once either way.  Callers must not hold locks
-/// the job itself acquires.
-void submitOrRun(rt::ThreadPool &Pool, rt::WaitGroup &Group,
-                 const std::function<void()> &Job) {
-  if (!Pool.submit(Job, &Group).isOk())
-    Job();
-}
-
-/// Resolves a caller-facing seed knob (0 = default) to a pool seed.
-uint64_t resolveStealSeed(uint64_t Seed) {
-  return Seed != 0 ? Seed : rt::ThreadPool::DefaultStealSeed;
-}
-
-/// Cost assumed for a shard that gave no tape-size hint: mid-sized, so
-/// unhinted shards neither explode a group nor get packed by the dozen.
-constexpr size_t DefaultShardCostNodes = 4096;
-/// Floor on the target group cost — below this, per-job scheduling
-/// overhead beats any balance the split could buy.
-constexpr size_t MinGroupCostNodes = 1024;
-/// Groups per worker the planner aims for: enough slack for the
-/// stealing scheduler to rebalance a skewed schedule.
-constexpr size_t GroupsPerWorker = 4;
-
 /// Cache-aware shard analysis of the streaming merge: a key hit skips
 /// adoption and every reverse sweep; a miss analyses and (in ReadWrite
 /// mode) stores.  Verification requests bypass the cache — cached
@@ -562,44 +537,6 @@ ParallelAnalysis::mergeShards(std::vector<ShardResult> Shards,
   return R;
 }
 
-std::vector<ParallelAnalysis::ShardGroup>
-ParallelAnalysis::planShardGroups(const std::vector<size_t> &CostHints,
-                                  unsigned NumWorkers) {
-  std::vector<ShardGroup> Plan;
-  if (CostHints.empty())
-    return Plan;
-  if (NumWorkers == 0)
-    NumWorkers = 1;
-  size_t Total = 0;
-  for (size_t C : CostHints)
-    Total += C != 0 ? C : DefaultShardCostNodes;
-  const size_t Target = std::max<size_t>(
-      MinGroupCostNodes,
-      Total / (static_cast<size_t>(NumWorkers) * GroupsPerWorker));
-  size_t Begin = 0;
-  size_t Acc = 0;
-  for (size_t I = 0; I != CostHints.size(); ++I) {
-    const size_t C = CostHints[I] != 0 ? CostHints[I] : DefaultShardCostNodes;
-    // An oversized shard must not drag neighbours behind it: close the
-    // accumulating group first, then let the big shard fill (or
-    // overflow) a group of its own.
-    if (I != Begin && Acc + C > Target) {
-      Plan.push_back({Begin, I});
-      Begin = I;
-      Acc = 0;
-    }
-    Acc += C;
-    if (Acc >= Target) {
-      Plan.push_back({Begin, I + 1});
-      Begin = I + 1;
-      Acc = 0;
-    }
-  }
-  if (Begin != CostHints.size())
-    Plan.push_back({Begin, CostHints.size()});
-  return Plan;
-}
-
 void ParallelAnalysis::recordShard(size_t Index, Analysis &A) const {
   const Shard &S = Shards[Index];
   if (S.TapeSizeHint != 0)
@@ -612,41 +549,27 @@ ParallelAnalysisResult ParallelAnalysis::run(const AnalysisOptions &Options,
                                              ShardVerification Verify) {
   std::vector<ShardResult> Results(Shards.size());
 
-  // One warm process-wide pool per (thread count, seed): repeated run()
-  // calls stopped paying thread spawn/join per call, which alone was
-  // enough to put the old sharded Sobel behind serial analysis.
+  // One warm process-wide pool per thread count: repeated run() calls
+  // stopped paying thread spawn/join per call, which alone was enough
+  // to put the old sharded Sobel behind serial analysis.
   const unsigned Threads = NumThreads != 0 ? NumThreads : Options.NumThreads;
-  rt::ThreadPool &Pool =
-      rt::ThreadPool::shared(Threads, resolveStealSeed(StealSeed));
-  rt::WaitGroup Group;
 
-  // Cost-model the schedule: contiguous shards are grouped into jobs
-  // sized from their tape hints, so a thousand tiny shards become a
-  // handful of jobs while one huge shard stays alone on its worker.
-  std::vector<size_t> Costs;
-  Costs.reserve(Shards.size());
-  for (const Shard &S : Shards)
-    Costs.push_back(S.TapeSizeHint);
-  const std::vector<ShardGroup> Plan =
-      planShardGroups(Costs, Pool.numThreads());
-
-  for (const ShardGroup &G : Plan) {
-    submitOrRun(Pool, Group, [this, G, &Options, Verify, &Results] {
-      for (size_t I = G.Begin; I != G.End; ++I) {
-        // Tapes and the current-Analysis pointer are thread-local, so
-        // each worker records in complete isolation; the shard's index
-        // in the result vector is fixed at registration, making the
-        // merge independent of scheduling.
-        ShardResult &Slot = Results[I];
-        Analysis A;
-        recordShard(I, A);
-        Slot.Name = Shards[I].Name;
-        Slot.Index = I;
-        analyseWorker(A, Slot, Options, Verify);
-      }
-    });
-  }
-  Group.wait();
+  // Claim-loop runners: each claims the next shard index, records and
+  // analyses that shard into Results[I], and claims again.  Tapes and
+  // the current-Analysis pointer are thread-local, so each runner
+  // records in complete isolation; a shard's slot is fixed by its
+  // registration index, so the merge is independent of scheduling.
+  std::atomic<size_t> Next{0};
+  rt::ThreadPool::shared(Threads).fanOut(Shards.size(), [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < Shards.size();) {
+      ShardResult &Slot = Results[I];
+      Analysis A;
+      recordShard(I, A);
+      Slot.Name = Shards[I].Name;
+      Slot.Index = I;
+      analyseWorker(A, Slot, Options, Verify);
+    }
+  });
 
   return mergeShards(std::move(Results), Verify != ShardVerification::Off);
 }
@@ -837,17 +760,12 @@ ParallelAnalysis::mergeStapStreaming(const std::vector<std::string> &Paths,
   // shard (index 0 takes the reference tape instead of loading it
   // twice), checks and analyses it into Shards[I], and drops the tape
   // before it claims again.  Each runner holds at most one tape, so
-  // Runners <= PrefetchWindow bounds the tapes in flight.  A failing
-  // shard lowers FailedAt to its index when that is the smallest
-  // failure so far, and nobody claims past FailedAt: every shard
-  // before it has been analysed when the runners finish, and the
+  // running at most PrefetchWindow runners bounds the tapes in flight.
+  // A failing shard lowers FailedAt to its index when that is the
+  // smallest failure so far, and nobody claims past FailedAt: every
+  // shard before it has been analysed when the runners finish, and the
   // merge reports the first failure in path order.
   const size_t N = Paths.size();
-  rt::ThreadPool &Pool = rt::ThreadPool::shared(
-      Options.NumThreads, resolveStealSeed(Options.StealSeed));
-  const size_t Runners =
-      std::min({static_cast<size_t>(std::max(1u, Options.PrefetchWindow)),
-                static_cast<size_t>(Pool.numThreads()), N});
   std::vector<ShardResult> Shards(N);
   std::atomic<size_t> NextPath{0};
   std::atomic<size_t> FailedAt{N};
@@ -908,10 +826,9 @@ ParallelAnalysis::mergeStapStreaming(const std::vector<std::string> &Paths,
     Stats->MaxTapesInFlight = std::max(Stats->MaxTapesInFlight, MaxTapes);
   };
 
-  rt::WaitGroup Group;
-  for (size_t R = 0; R != Runners; ++R)
-    submitOrRun(Pool, Group, RunShards);
-  Group.wait();
+  rt::ThreadPool::shared(Options.NumThreads)
+      .fanOut(std::min<size_t>(std::max(1u, Options.PrefetchWindow), N),
+              RunShards);
 
   Stats->ShardsMerged = FailedAt.load();
   if (Stats->ShardsMerged != N)

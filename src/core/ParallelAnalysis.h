@@ -202,10 +202,6 @@ struct StreamingMergeOptions {
   /// claims again; results are stored by path index, so the schedule
   /// never reaches the report.
   unsigned NumThreads = 0;
-  /// Victim-selection seed of the shared work-stealing pool (0 = the
-  /// pool default).  Any seed produces a byte-identical merged report;
-  /// the determinism suite varies it to prove that.
-  uint64_t StealSeed = 0;
   /// Result cache: a key hit skips adoption and every reverse sweep for
   /// that shard.  Cached entries carry no verification findings, so
   /// merges with \p Verify != Off bypass the cache entirely.
@@ -274,36 +270,13 @@ public:
 
   size_t numShards() const { return Shards.size(); }
 
-  /// Victim-selection seed forwarded to the shared work-stealing pool
-  /// (0 = the pool default).  Execution-order only: the merged report
-  /// is byte-identical for every seed.
-  void setStealSeed(uint64_t Seed) { StealSeed = Seed; }
-
-  /// One contiguous range of shard indices [Begin, End) scheduled as a
-  /// single pool job by the shard-size cost model.
-  struct ShardGroup {
-    size_t Begin = 0;
-    size_t End = 0;
-  };
-
-  /// The shard-size cost model: groups contiguous shards into pool
-  /// jobs sized from their tape-size hints (a hint of 0 is costed at a
-  /// default mid-sized tape).  Tiny shards are coalesced until a group
-  /// reaches the target grain — total cost divided by several tasks
-  /// per worker, so the stealing scheduler has slack to balance — and
-  /// a single oversized shard is isolated in its own group rather than
-  /// dragging neighbours behind it.  Pure function of the hints and
-  /// the worker count: scheduling granularity can never perturb the
-  /// merged report.  Groups partition [0, CostHints.size()) in order.
-  static std::vector<ShardGroup>
-  planShardGroups(const std::vector<size_t> &CostHints,
-                  unsigned NumWorkers);
-
   /// Records and analyses every shard on \p NumThreads pool workers
   /// (0 = AnalysisOptions::NumThreads, itself 0 = hardware
-  /// concurrency), then merges deterministically.  Repeated calls
-  /// reuse one process-wide pool (ThreadPool::shared) — no per-call
-  /// thread churn.
+  /// concurrency), then merges deterministically.  Claim-loop runners,
+  /// one per worker and at most one per shard, take the shards in index
+  /// order, so a large shard holds only the runner that claimed it.
+  /// Repeated calls reuse one process-wide pool (ThreadPool::shared) —
+  /// no per-call thread churn.
   /// \p Verify selects per-shard re-verification: each worker audits its
   /// own sub-tape/sub-graph right after analysing it, and the merge
   /// combines the per-shard reports (messages prefixed with the shard
@@ -344,8 +317,8 @@ public:
   /// engine that turns `.stap` shards into a merged report.  Every
   /// shard analyses under the reference options recorded in
   /// \p Paths[0]'s META, read before any work is submitted.  Claim-loop
-  /// runners on the shared work-stealing pool then take the paths in
-  /// index order: each is loaded through the loadStap trust boundary,
+  /// runners on the shared pool then take the paths in index order:
+  /// each is loaded through the loadStap trust boundary,
   /// META-checked, analysed (or served from the result cache) and
   /// released before its runner claims the next.  A shard without META
   /// options, or one recorded under options other than the reference,
@@ -380,7 +353,6 @@ private:
     size_t TapeSizeHint = 0;
   };
   std::vector<Shard> Shards;
-  uint64_t StealSeed = 0;
 
   /// Shared worker tail: analyse (or produce a valid-but-empty result
   /// for a shard with no registered outputs) and optionally re-verify.

@@ -6,21 +6,11 @@
 #include "support/Diag.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
 using namespace scorpio::rt;
-
-namespace {
-
-/// A released task must execute exactly once: when the pool refuses the
-/// job (shutdown mid-teardown), run it inline on the releasing thread.
-void submitOrRun(ThreadPool &Pool, const std::function<void()> &Fn) {
-  if (!Pool.submit(Fn).isOk())
-    Fn();
-}
-
-} // namespace
 
 TaskRuntime::TaskRuntime(unsigned NumThreads) : Pool(NumThreads) {}
 
@@ -161,23 +151,32 @@ TaskStats TaskRuntime::runBatch(std::vector<PendingTask> Batch,
   std::vector<TaskFate> Fates(Batch.size(), TaskFate::Dropped);
   decideFatesBatch(Significances, HasApprox, Ratio, Fates);
 
+  // Every fate is decided before any task runs, so the released tasks
+  // form one batch of known size: claim-loop runners take them by index
+  // and call each in place.  A dropped task is never released.
   TaskStats Stats;
+  std::vector<const std::function<void()> *> Released;
+  Released.reserve(Batch.size());
   for (size_t I = 0; I != Batch.size(); ++I) {
     switch (Fates[I]) {
     case TaskFate::Accurate:
       ++Stats.NumAccurate;
-      submitOrRun(Pool, Batch[I].AccurateFn);
+      Released.push_back(&Batch[I].AccurateFn);
       break;
     case TaskFate::Approximate:
       ++Stats.NumApproximate;
-      submitOrRun(Pool, Batch[I].ApproxFn);
+      Released.push_back(&Batch[I].ApproxFn);
       break;
     case TaskFate::Dropped:
       ++Stats.NumDropped;
       break;
     }
   }
-  Pool.waitIdle();
+  std::atomic<size_t> Next{0};
+  Pool.fanOut(Released.size(), [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < Released.size();)
+      (*Released[I])();
+  });
   return Stats;
 }
 

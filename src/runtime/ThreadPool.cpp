@@ -1,8 +1,10 @@
-//===- runtime/ThreadPool.cpp - Work-stealing worker pool -----------------===//
+//===- runtime/ThreadPool.cpp - FIFO worker pool --------------------------===//
 
 #include "runtime/ThreadPool.h"
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 
 using namespace scorpio;
@@ -29,36 +31,19 @@ void WaitGroup::wait() {
 
 namespace {
 
-/// Identifies the pool (and lane) the current thread belongs to, so
-/// submit() from inside a job lands on the submitting worker's own
-/// deque: a pipelined continuation (e.g. the reload stage of a shard
-/// whose serialize just finished) runs while its data is still hot,
-/// unless a thief gets to it first.
-thread_local ThreadPool *CurrentPool = nullptr;
-thread_local size_t CurrentLane = 0;
+unsigned resolveThreads(unsigned NumThreads) {
+  if (NumThreads == 0)
+    NumThreads = std::thread::hardware_concurrency();
+  return NumThreads != 0 ? NumThreads : 1;
+}
 
 } // namespace
 
-ThreadPool::ThreadPool(unsigned NumThreads, uint64_t StealSeed) {
-  if (NumThreads == 0) {
-    NumThreads = std::thread::hardware_concurrency();
-    if (NumThreads == 0)
-      NumThreads = 1;
-  }
-  Lanes.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I) {
-    auto W = std::make_unique<Worker>();
-    // Seed every lane differently (xorshift64 requires non-zero state);
-    // the same (seed, lane) pair always walks the same victim sequence,
-    // so a schedule is reproducible given the seed and the timing.
-    W->Rng = StealSeed ^ (0x2545F4914F6CDD1DULL * (I + 1));
-    if (W->Rng == 0)
-      W->Rng = DefaultStealSeed;
-    Lanes.push_back(std::move(W));
-  }
+ThreadPool::ThreadPool(unsigned NumThreads) {
+  NumThreads = resolveThreads(NumThreads);
   Threads.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
@@ -85,141 +70,72 @@ diag::Status ThreadPool::submit(std::function<void()> Job, WaitGroup *Group) {
                      "ThreadPool::submit: empty job"))
     return diag::Status::error(diag::ErrC::InvalidArgument,
                                "ThreadPool::submit: empty job");
-  // Prefer the caller's own lane when the caller is one of our workers
-  // (continuation locality); round-robin across lanes otherwise.
-  const size_t Lane =
-      CurrentPool == this
-          ? CurrentLane
-          : NextLane.fetch_add(1, std::memory_order_relaxed) % Lanes.size();
   {
-    // The shutdown flag, the enqueue and the pending-count increment
-    // form one atomic step with respect to shutdown(): a job accepted
-    // here is visible to the drain loop before any worker can observe
-    // ShuttingDown with an empty queue, so it always runs.
+    // The shutdown flag and the enqueue form one atomic step with
+    // respect to shutdown(): a job accepted here is in the queue before
+    // any worker can observe ShuttingDown with an empty queue, so it
+    // always runs.
     std::lock_guard<std::mutex> Lock(SleepMutex);
     if (!SCORPIO_CHECK(!ShuttingDown, diag::ErrC::InvalidState,
                        "ThreadPool::submit after shutdown"))
       return diag::Status::error(diag::ErrC::InvalidState,
                                  "ThreadPool::submit after shutdown");
-    InFlight.fetch_add(1, std::memory_order_relaxed);
     if (Group)
       Group->add();
-    {
-      std::lock_guard<std::mutex> LaneLock(Lanes[Lane]->Mutex);
-      Lanes[Lane]->Deque.push_back(
-          ThreadPool::Job{std::move(Job), Group});
-    }
-    PendingJobs.fetch_add(1, std::memory_order_release);
+    Queue.push_back(ThreadPool::Job{std::move(Job), Group});
   }
-  // Wake outside every lock (satellite of the shutdown fix: the old
-  // pool notified correctly on submit but the destructor notified with
-  // semantics entangled in the queue lock; here no notify ever runs
-  // under SleepMutex or a lane lock).
+  // Wake outside the lock, so the woken worker does not block on it.
   WorkAvailable.notify_one();
   return diag::Status::ok();
 }
 
-void ThreadPool::waitIdle() {
-  std::unique_lock<std::mutex> Lock(SleepMutex);
-  AllDone.wait(Lock, [this] {
-    return InFlight.load(std::memory_order_acquire) == 0;
-  });
+void ThreadPool::fanOut(size_t MaxRunners,
+                        const std::function<void()> &Runner) {
+  const size_t Runners = std::min<size_t>(MaxRunners, numThreads());
+  WaitGroup Group;
+  for (size_t R = 0; R != Runners; ++R)
+    if (!submit(Runner, &Group).isOk())
+      Runner();
+  Group.wait();
 }
 
-bool ThreadPool::takeJob(size_t Self, Job &Out) {
-  // Own deque first, newest job (LIFO keeps pipelined continuations
-  // cache-hot on the worker that produced their inputs).
-  Worker &Me = *Lanes[Self];
-  {
-    std::lock_guard<std::mutex> Lock(Me.Mutex);
-    if (!Me.Deque.empty()) {
-      Out = std::move(Me.Deque.back());
-      Me.Deque.pop_back();
-      PendingJobs.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  if (Lanes.size() == 1)
-    return false;
-  // Steal FIFO from a victim chosen by this worker's xorshift64 walk:
-  // the oldest job is the one the owner is least likely to touch soon.
-  uint64_t X = Me.Rng;
-  X ^= X << 13;
-  X ^= X >> 7;
-  X ^= X << 17;
-  Me.Rng = X;
-  const size_t Start = static_cast<size_t>(X % Lanes.size());
-  for (size_t K = 0; K != Lanes.size(); ++K) {
-    const size_t V = (Start + K) % Lanes.size();
-    if (V == Self)
-      continue;
-    Worker &Victim = *Lanes[V];
-    std::lock_guard<std::mutex> Lock(Victim.Mutex);
-    if (!Victim.Deque.empty()) {
-      Out = std::move(Victim.Deque.front());
-      Victim.Deque.pop_front();
-      PendingJobs.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::runJob(Job &J) {
-  J.Fn();
-  // Release the job's captures before signalling completion: a waiter
-  // unblocked by done()/AllDone may immediately destroy state the
-  // captures referenced.
-  J.Fn = nullptr;
-  if (J.Group)
-    J.Group->done();
-  if (InFlight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> Lock(SleepMutex);
-    AllDone.notify_all();
-  }
-}
-
-void ThreadPool::workerLoop(size_t Self) {
-  CurrentPool = this;
-  CurrentLane = Self;
+void ThreadPool::workerLoop() {
   for (;;) {
     Job J;
-    if (takeJob(Self, J)) {
-      runJob(J);
-      continue;
+    {
+      std::unique_lock<std::mutex> Lock(SleepMutex);
+      WorkAvailable.wait(Lock,
+                         [this] { return ShuttingDown || !Queue.empty(); });
+      // Shutdown drains: exit only once every queued job has been taken.
+      if (Queue.empty())
+        return;
+      J = std::move(Queue.front());
+      Queue.pop_front();
     }
-    std::unique_lock<std::mutex> Lock(SleepMutex);
-    WorkAvailable.wait(Lock, [this] {
-      return ShuttingDown ||
-             PendingJobs.load(std::memory_order_acquire) != 0;
-    });
-    // Shutdown drains: exit only once every queued job has been taken.
-    if (ShuttingDown && PendingJobs.load(std::memory_order_acquire) == 0) {
-      CurrentPool = nullptr;
-      return;
-    }
+    J.Fn();
+    // Release the job's captures before signalling completion: a waiter
+    // unblocked by done() may immediately destroy state the captures
+    // referenced.
+    J.Fn = nullptr;
+    if (J.Group)
+      J.Group->done();
   }
 }
 
-ThreadPool &ThreadPool::shared(unsigned NumThreads, uint64_t StealSeed) {
-  if (NumThreads == 0) {
-    NumThreads = std::thread::hardware_concurrency();
-    if (NumThreads == 0)
-      NumThreads = 1;
-  }
+ThreadPool &ThreadPool::shared(unsigned NumThreads) {
   // Keyed by the *resolved* count so "auto" and an explicit
   // hardware_concurrency request share a pool.  Function-local static:
   // pools are joined during normal static destruction (leak-checker
   // clean), and nothing in scorpio submits work from static destructors.
+  NumThreads = resolveThreads(NumThreads);
   struct Registry {
     std::mutex Mutex;
-    std::map<std::pair<unsigned, uint64_t>, std::unique_ptr<ThreadPool>>
-        Pools;
+    std::map<unsigned, std::unique_ptr<ThreadPool>> Pools;
   };
   static Registry R;
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  std::unique_ptr<ThreadPool> &Slot = R.Pools[{NumThreads, StealSeed}];
+  std::unique_ptr<ThreadPool> &Slot = R.Pools[NumThreads];
   if (!Slot)
-    Slot.reset(new ThreadPool(NumThreads, StealSeed));
+    Slot = std::make_unique<ThreadPool>(NumThreads);
   return *Slot;
 }

@@ -1,4 +1,4 @@
-//===- runtime/ThreadPool.h - Work-stealing worker pool -------------------===//
+//===- runtime/ThreadPool.h - FIFO worker pool ----------------------------===//
 //
 // Part of the scorpio project: reproduction of "Towards Automatic
 // Significance Analysis for Approximate Computing" (CGO 2016).
@@ -6,22 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A work-stealing thread pool shared by the significance-aware task
-/// runtime and the sharded analysis driver.
+/// The fixed worker pool shared by the significance-aware task runtime,
+/// the sharded analysis (ParallelAnalysis::run) and the streaming merge.
 ///
-/// Scheduling: every worker owns a deque (lock-per-deque).  submit()
-/// places a job on the caller's own deque when the caller is a pool
-/// worker (so pipelined continuations stay cache-hot) and round-robins
-/// across deques otherwise.  A worker pops its own deque LIFO; when it
-/// runs dry it steals FIFO from a victim chosen by a per-worker
-/// xorshift64 generator, so load balance does not depend on submission
-/// order.  The steal seed is a constructor knob: determinism tests vary
-/// it to prove results are schedule-independent.
+/// Scheduling: one FIFO queue under one mutex.  Every caller knows its
+/// whole batch before it starts (a taskwait batch, a shard list, a path
+/// list), so none submits one job per item: fanOut() queues at most one
+/// claim-loop runner per worker, and the runners take items from an
+/// atomic index until the batch is exhausted.  Queue traffic therefore
+/// stays bounded by the worker count, whatever the batch size, and load
+/// balance comes from the claim loop, not from the queue.
 ///
-/// Completion: waitIdle() blocks until the whole pool is idle; a
-/// WaitGroup scopes completion to one batch, so several drivers can
-/// share one pool (ThreadPool::shared) without each other's jobs
-/// extending their waits.
+/// Completion: a WaitGroup scopes completion to one batch, so several
+/// callers can share one pool (ThreadPool::shared) without each other's
+/// jobs extending their waits.
 ///
 /// Shutdown: submit() after shutdown() began is a structured Status
 /// error (SCORPIO_CHECK), never a silently dropped job; already-queued
@@ -34,12 +32,10 @@
 
 #include "support/Diag.h"
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -67,19 +63,11 @@ private:
   size_t Count = 0;
 };
 
-/// Fixed worker pool; jobs are void() callables.
+/// Fixed worker pool; jobs are void() callables, taken in FIFO order.
 class ThreadPool {
 public:
-  /// Default victim-selection seed (the 64-bit golden ratio, a standard
-  /// full-period xorshift starting point).
-  static constexpr uint64_t DefaultStealSeed = 0x9E3779B97F4A7C15ULL;
-
   /// \p NumThreads == 0 selects std::thread::hardware_concurrency().
-  /// \p StealSeed perturbs every worker's victim-selection sequence;
-  /// any value yields the same results (the merge is execution-order
-  /// independent), which the determinism suite exercises.
-  explicit ThreadPool(unsigned NumThreads = 0,
-                      uint64_t StealSeed = DefaultStealSeed);
+  explicit ThreadPool(unsigned NumThreads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
@@ -91,9 +79,14 @@ public:
   [[nodiscard]] diag::Status submit(std::function<void()> Job,
                                     WaitGroup *Group = nullptr);
 
-  /// Blocks until every submitted job has finished (pool-wide; prefer a
-  /// WaitGroup when other callers share this pool).
-  void waitIdle();
+  /// Runs min(\p MaxRunners, numThreads()) copies of \p Runner on the
+  /// pool and blocks until all of them returned.  A copy the pool
+  /// refuses (shutdown during process teardown) runs inline, so every
+  /// copy runs exactly once.  \p Runner is meant to be a claim loop
+  /// over a batch the caller sized in advance.  A job of this pool that
+  /// calls fanOut holds its own worker while it waits, so the copies
+  /// complete only while some worker is not waiting in fanOut.
+  void fanOut(size_t MaxRunners, const std::function<void()> &Runner);
 
   /// Drains already-queued jobs and joins the workers.  Idempotent;
   /// called by the destructor.  Not safe to race against submit() from
@@ -104,14 +97,12 @@ public:
     return static_cast<unsigned>(Threads.size());
   }
 
-  /// Process-wide pool registry, keyed by (resolved thread count,
-  /// steal seed): repeated ParallelAnalysis::run() / streaming-merge
-  /// calls reuse one warm pool instead of re-spawning threads per call
-  /// (thread churn was a measured reason sharded analysis lost to
-  /// serial).  Pools live until process exit and are joined during
-  /// static destruction.
-  static ThreadPool &shared(unsigned NumThreads = 0,
-                            uint64_t StealSeed = DefaultStealSeed);
+  /// Process-wide pool registry, keyed by the resolved thread count:
+  /// repeated ParallelAnalysis::run() / streaming-merge calls reuse one
+  /// warm pool instead of re-spawning threads per call (thread churn
+  /// was a measured reason sharded analysis lost to serial).  Pools
+  /// live until process exit and are joined during static destruction.
+  static ThreadPool &shared(unsigned NumThreads = 0);
 
 private:
   struct Job {
@@ -119,33 +110,16 @@ private:
     WaitGroup *Group = nullptr;
   };
 
-  /// One worker's scheduling state.  Deque access is lock-per-deque:
-  /// the owner pushes/pops the back, thieves pop the front, and the
-  /// only global lock (SleepMutex) is touched when queues run dry.
-  struct Worker {
-    std::mutex Mutex;
-    std::deque<Job> Deque;
-    uint64_t Rng = 0; // xorshift64 victim-selection state
-  };
+  void workerLoop();
 
-  void workerLoop(size_t Self);
-  bool takeJob(size_t Self, Job &Out);
-  void runJob(Job &J);
-
-  std::vector<std::unique_ptr<Worker>> Lanes;
-  std::vector<std::thread> Threads;
-  std::atomic<size_t> NextLane{0};
-  /// Queued-but-untaken jobs; the sleep predicate.  Mutated under
-  /// SleepMutex on the submit side so sleeping workers cannot miss it.
-  std::atomic<size_t> PendingJobs{0};
-  /// Submitted-but-unfinished jobs; the waitIdle predicate.
-  std::atomic<size_t> InFlight{0};
   std::mutex SleepMutex;
   std::condition_variable WorkAvailable;
-  std::condition_variable AllDone;
+  std::deque<Job> Queue;     // guarded by SleepMutex
   bool ShuttingDown = false; // guarded by SleepMutex
-  bool Joined = false;       // guarded by JoinMutex
   std::mutex JoinMutex;
+  bool Joined = false; // guarded by JoinMutex
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> Threads;
 };
 
 } // namespace rt

@@ -1,13 +1,12 @@
 //===- tests/determinism_test.cpp - Scheduler-independence suite ----------===//
 //
-// The work-stealing contract: the merged report of the sharded driver
-// is a pure function of the shard list and the analysis options —
-// never of the schedule.  This suite pins that down the hard way:
-// every registry kernel as a shard, at 1/2/4/8 worker threads, across
-// distinct steal seeds, in-process and through saveShards + the
-// streaming merge, and demands byte-for-byte identity with the
-// single-threaded run.  It is
-// the suite the TSan CI leg runs to flush scheduler races.
+// The scheduling contract: the merged report of the sharded analysis is
+// a pure function of the shard list and the analysis options — never
+// of the schedule.  This suite pins that down the hard way: every
+// registry kernel as a shard, at 1/2/4/8 worker threads, in-process
+// and through saveShards + the streaming merge (compressed and raw
+// tapes), and demands byte-for-byte identity with the single-threaded
+// run.  It is the suite the TSan CI leg runs to flush scheduler races.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -30,15 +28,11 @@ using namespace scorpio;
 
 namespace {
 
-/// Thread counts the suite sweeps.  8 deliberately oversubscribes this
-/// container's cores: steals then happen constantly, which is exactly
-/// the schedule diversity the byte-identity claim must survive.
+/// Thread counts the suite sweeps.  8 deliberately oversubscribes a
+/// 4-thread host: the claim-loop runners are then preempted mid-shard
+/// constantly, which is exactly the schedule diversity the
+/// byte-identity claim must survive.
 constexpr unsigned Threads[] = {1, 2, 4, 8};
-
-/// Distinct steal seeds: the pool default, a "user" seed and the
-/// explicit-zero alias for the default.  Different seeds walk victims
-/// in different orders, so each is a different schedule family.
-constexpr uint64_t Seeds[] = {0, 1, 0x00C0FFEE};
 
 /// Builds the all-registry-kernels driver: one shard per kernel, in
 /// sorted-name order so every run registers identical shard indices.
@@ -57,9 +51,8 @@ ParallelAnalysis makeRegistryDriver() {
   return P;
 }
 
-std::string runJson(unsigned NumThreads, uint64_t Seed) {
+std::string runJson(unsigned NumThreads) {
   ParallelAnalysis P = makeRegistryDriver();
-  P.setStealSeed(Seed);
   std::ostringstream OS;
   P.run({}, NumThreads).writeJson(OS);
   return OS.str();
@@ -78,10 +71,9 @@ std::vector<std::string> saveRegistryShards(const std::string &Dir,
 
 /// The streaming merge of \p Paths on \p NumThreads workers.
 std::string streamJson(const std::vector<std::string> &Paths,
-                       unsigned NumThreads, uint64_t Seed) {
+                       unsigned NumThreads) {
   StreamingMergeOptions Options;
   Options.NumThreads = NumThreads;
-  Options.StealSeed = Seed;
   diag::Expected<ParallelAnalysisResult> R =
       ParallelAnalysis::mergeStapStreaming(Paths, Options);
   EXPECT_TRUE(R.hasValue()) << R.status().message();
@@ -92,23 +84,22 @@ std::string streamJson(const std::vector<std::string> &Paths,
   return OS.str();
 }
 
+// (The name predates the removal of the steal-seed knob.)
 TEST(Determinism, RegistryKernelsInProcessAllThreadCountsAndSeeds) {
-  const std::string Reference = runJson(1, 0);
+  const std::string Reference = runJson(1);
   ASSERT_FALSE(Reference.empty());
   for (const unsigned N : Threads)
-    for (const uint64_t Seed : Seeds)
-      EXPECT_EQ(Reference, runJson(N, Seed))
-          << "threads=" << N << " seed=" << Seed;
+    EXPECT_EQ(Reference, runJson(N)) << "threads=" << N;
 }
 
 TEST(Determinism, RegistryKernelsStapTransportMatchesInProcess) {
   // Compressed and raw tapes, merged at every worker width.
-  const std::string Reference = runJson(1, 0);
+  const std::string Reference = runJson(1);
   const std::string Dir = ::testing::TempDir() + "/scorpio_determinism_wire";
   for (const bool Compress : {true, false}) {
     const std::vector<std::string> Paths = saveRegistryShards(Dir, Compress);
     for (const unsigned N : Threads)
-      EXPECT_EQ(Reference, streamJson(Paths, N, /*Seed=*/0))
+      EXPECT_EQ(Reference, streamJson(Paths, N))
           << "threads=" << N << " compress=" << Compress;
   }
   std::filesystem::remove_all(Dir);
@@ -116,16 +107,14 @@ TEST(Determinism, RegistryKernelsStapTransportMatchesInProcess) {
 
 TEST(Determinism, StapDirectoryStreamsIdenticallyAtEveryWidth) {
   // One recording, merged by the streaming consumer at every worker
-  // width and steal seed: the pipelined verify/merge overlap must not
+  // width: the overlapping load/analyse of the runners must not
   // perturb a byte.
-  const std::string Reference = runJson(1, 0);
+  const std::string Reference = runJson(1);
   const std::string Dir =
       ::testing::TempDir() + "/scorpio_determinism_shards";
   const std::vector<std::string> Paths = saveRegistryShards(Dir, true);
   for (const unsigned N : Threads)
-    for (const uint64_t Seed : Seeds)
-      EXPECT_EQ(Reference, streamJson(Paths, N, Seed))
-          << "threads=" << N << " seed=" << Seed;
+    EXPECT_EQ(Reference, streamJson(Paths, N)) << "threads=" << N;
   std::filesystem::remove_all(Dir);
 }
 
@@ -133,18 +122,16 @@ TEST(Determinism, ConcurrentDriversOnTheSharedPoolStayIndependent) {
   // Two drivers sharing one pool (the production shape after the
   // pool-hoisting fix): each must still produce its own single-threaded
   // bytes.  WaitGroup scoping is what keeps their completions apart.
-  const std::string Reference = runJson(1, 0);
-  // Seed 0 resolves to the pool default, so both drivers land on the
-  // same registry pool as the jobs below (pools are keyed by
-  // (threads, seed)): two analyses and their nested stage jobs truly
-  // interleave on shared workers.
+  const std::string Reference = runJson(1);
+  // Both analyses land on the same registry pool as the jobs below
+  // (pools are keyed by thread count): two analyses and their
+  // claim-loop runners truly interleave on shared workers, while the
+  // two jobs themselves hold two of the four workers.
   rt::ThreadPool &Pool = rt::ThreadPool::shared(4);
   rt::WaitGroup Group;
   std::string A, B;
-  const diag::Status SA =
-      Pool.submit([&A] { A = runJson(4, 0); }, &Group);
-  const diag::Status SB =
-      Pool.submit([&B] { B = runJson(4, 0); }, &Group);
+  const diag::Status SA = Pool.submit([&A] { A = runJson(4); }, &Group);
+  const diag::Status SB = Pool.submit([&B] { B = runJson(4); }, &Group);
   ASSERT_TRUE(SA.isOk()) << SA.message();
   ASSERT_TRUE(SB.isOk()) << SB.message();
   Group.wait();

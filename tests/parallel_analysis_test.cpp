@@ -346,83 +346,32 @@ TEST(ShardVerificationMode, VerifiedRunsStayDeterministic) {
 }
 
 //===--------------------------------------------------------------------===//
-// Shard-size cost model
-//===--------------------------------------------------------------------===//
-
-using ShardGroup = ParallelAnalysis::ShardGroup;
-
-/// Groups must partition [0, N) contiguously and in order.
-void expectPartition(const std::vector<ShardGroup> &Plan, size_t N) {
-  size_t At = 0;
-  for (const ShardGroup &G : Plan) {
-    EXPECT_EQ(G.Begin, At);
-    EXPECT_LT(G.Begin, G.End);
-    At = G.End;
-  }
-  EXPECT_EQ(At, N);
-}
-
-TEST(ShardPlanner, EmptyAndSingle) {
-  EXPECT_TRUE(ParallelAnalysis::planShardGroups({}, 4).empty());
-  const auto Plan = ParallelAnalysis::planShardGroups({100}, 4);
-  expectPartition(Plan, 1);
-  EXPECT_EQ(Plan.size(), 1u);
-}
-
-TEST(ShardPlanner, CoalescesTinyShards) {
-  // 1000 tiny shards must not become 1000 pool jobs.
-  const std::vector<size_t> Costs(1000, 16);
-  const auto Plan = ParallelAnalysis::planShardGroups(Costs, 4);
-  expectPartition(Plan, Costs.size());
-  EXPECT_LT(Plan.size(), 100u);
-  EXPECT_GE(Plan.size(), 4u); // still enough groups to keep 4 workers fed
-}
-
-TEST(ShardPlanner, IsolatesOversizedShard) {
-  // One huge shard among small ones gets a group of its own instead of
-  // dragging neighbours behind it.
-  std::vector<size_t> Costs(64, 512);
-  Costs[20] = 1u << 20;
-  const auto Plan = ParallelAnalysis::planShardGroups(Costs, 4);
-  expectPartition(Plan, Costs.size());
-  bool FoundAlone = false;
-  for (const ShardGroup &G : Plan)
-    if (G.Begin == 20) {
-      EXPECT_EQ(G.End, 21u);
-      FoundAlone = true;
-    }
-  EXPECT_TRUE(FoundAlone);
-}
-
-TEST(ShardPlanner, MoreWorkersMeansFinerGroups) {
-  const std::vector<size_t> Costs(256, 2048);
-  const auto One = ParallelAnalysis::planShardGroups(Costs, 1);
-  const auto Eight = ParallelAnalysis::planShardGroups(Costs, 8);
-  expectPartition(One, Costs.size());
-  expectPartition(Eight, Costs.size());
-  EXPECT_LT(One.size(), Eight.size());
-}
-
-TEST(ShardPlanner, UnhintedShardsGetDefaultCost) {
-  // All-zero hints behave like mid-sized shards: grouped, not one giant
-  // group and not one group per shard.
-  const std::vector<size_t> Costs(64, 0);
-  const auto Plan = ParallelAnalysis::planShardGroups(Costs, 4);
-  expectPartition(Plan, Costs.size());
-  EXPECT_GT(Plan.size(), 1u);
-  EXPECT_LT(Plan.size(), 64u);
-}
-
-//===--------------------------------------------------------------------===//
 // Concurrency knobs and determinism
 //===--------------------------------------------------------------------===//
 
+/// Records a chain of \p Steps dependent operations on one input.
+void recordChain(size_t Steps, double Slope) {
+  Analysis &A = Analysis::current();
+  IAValue X = A.input("x", 1.0, 2.0);
+  IAValue Y = X;
+  for (size_t I = 0; I != Steps; ++I)
+    Y = Y * 0.5 + X * Slope;
+  A.registerOutput(Y, "y");
+}
+
+/// The merged JSON of \p P run on \p NumThreads workers.
+std::string runJsonOn(ParallelAnalysis &P, unsigned NumThreads) {
+  std::ostringstream OS;
+  P.run({}, NumThreads).writeJson(OS);
+  return OS.str();
+}
+
+// (The name predates the removal of the steal-seed knob.)
 TEST(ParallelAnalysis, OptionsNumThreadsAndStealSeedDoNotChangeOutput) {
-  const auto RunWith = [](unsigned OptThreads, uint64_t Seed) {
+  const auto RunWith = [](unsigned OptThreads) {
     ParallelAnalysis P;
-    P.setStealSeed(Seed);
-    // Many tiny shards: exercises the coalescing planner under
-    // contention, where a scheduling-dependent merge would show.
+    // Many tiny shards: the claim loop hands them out one at a time
+    // under contention, where a scheduling-dependent merge would show.
     for (int I = 0; I != 64; ++I)
       P.addShard("s" + std::to_string(I),
                  [I] { recordAffine(1.0 + I % 7, 0.25 * I); },
@@ -433,10 +382,35 @@ TEST(ParallelAnalysis, OptionsNumThreadsAndStealSeedDoNotChangeOutput) {
     P.run(Opts).writeJson(OS);
     return OS.str();
   };
-  const std::string Ref = RunWith(1, 0);
-  EXPECT_EQ(Ref, RunWith(4, 0));
-  EXPECT_EQ(Ref, RunWith(4, 99));
-  EXPECT_EQ(Ref, RunWith(2, 0xABCDEF));
+  const std::string Ref = RunWith(1);
+  for (const unsigned N : {2u, 3u, 4u, 8u})
+    EXPECT_EQ(Ref, RunWith(N)) << "threads=" << N;
+}
+
+TEST(ParallelAnalysis, MoreWorkersThanShardsMatchesOneThread) {
+  // 2 shards on 8 workers: only two runners start, and each claims at
+  // most one shard before the counter runs out.
+  ParallelAnalysis P;
+  P.addShard("a", [] { recordAffine(2.0, 1.0); });
+  P.addShard("b", [] { recordChain(16, 3.0); });
+  const std::string Ref = runJsonOn(P, 1);
+  ASSERT_FALSE(Ref.empty());
+  EXPECT_EQ(Ref, runJsonOn(P, 8));
+}
+
+TEST(ParallelAnalysis, OversizedShardAmongTinyOnesMatchesOneThread) {
+  // One shard 100x the size of its 63 neighbours: the runner that
+  // claims it is busy while the others drain the tiny shards behind it.
+  ParallelAnalysis P;
+  for (size_t I = 0; I != 64; ++I) {
+    const size_t Steps = I == 20 ? 800 : 8;
+    P.addShard("s" + std::to_string(I),
+               [I, Steps] { recordChain(Steps, 1.0 + I % 5); },
+               /*TapeSizeHint=*/4 * Steps);
+  }
+  const std::string Ref = runJsonOn(P, 1);
+  for (const unsigned N : {2u, 4u, 8u})
+    EXPECT_EQ(Ref, runJsonOn(P, N)) << "threads=" << N;
 }
 
 //===--------------------------------------------------------------------===//

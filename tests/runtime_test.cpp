@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 using namespace scorpio;
 using namespace scorpio::rt;
@@ -236,10 +238,42 @@ TEST(TaskRuntime, SingleThreadDeterministicOrderIndependence) {
   EXPECT_EQ(Run(1), Run(4));
 }
 
-TEST(ThreadPool, WaitIdleOnFreshPool) {
-  ThreadPool Pool(2);
-  Pool.waitIdle(); // must not hang
-  EXPECT_EQ(Pool.numThreads(), 2u);
+// The claim loop behind taskwait: on 1 and 4 workers every released
+// task runs exactly once, in the version its fate names, and a dropped
+// task never runs.  Batches release 0, 1 and 1000 tasks.
+TEST(TaskRuntime, ReleasedTasksRunExactlyOnceAndDroppedNever) {
+  for (const unsigned Workers : {1u, 4u}) {
+    for (const size_t Released : {size_t(0), size_t(1), size_t(1000)}) {
+      TaskRuntime RT(Workers);
+      // Released tasks alternate forced-accurate (significance 1.0) and
+      // approximate (below the ratio, with an approxfun); 50 more tasks
+      // have no approxfun and are dropped at ratio 0.
+      const size_t Dropped = 50;
+      const size_t N = Released + Dropped;
+      std::vector<std::atomic<int>> AccurateRuns(N), ApproxRuns(N);
+      for (size_t I = 0; I != N; ++I) {
+        TaskOptions Opts;
+        Opts.Label = "batch";
+        Opts.Significance = 0.1;
+        if (I < Released && I % 2 == 0)
+          Opts.Significance = 1.0;
+        else if (I < Released)
+          Opts.ApproxFn = [&ApproxRuns, I] { ++ApproxRuns[I]; };
+        RT.spawn([&AccurateRuns, I] { ++AccurateRuns[I]; }, std::move(Opts));
+      }
+      const TaskStats S = RT.taskwait("batch", 0.0);
+      EXPECT_EQ(S.NumAccurate + S.NumApproximate, Released);
+      EXPECT_EQ(S.NumDropped, Dropped);
+      for (size_t I = 0; I != N; ++I) {
+        const bool Accurate = I < Released && I % 2 == 0;
+        const bool Approx = I < Released && I % 2 == 1;
+        EXPECT_EQ(AccurateRuns[I].load(), Accurate ? 1 : 0)
+            << "workers=" << Workers << " task " << I;
+        EXPECT_EQ(ApproxRuns[I].load(), Approx ? 1 : 0)
+            << "workers=" << Workers << " task " << I;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
@@ -252,9 +286,11 @@ TEST(ThreadPool, DefaultsToHardwareConcurrency) {
 // joining workers.
 TEST(ThreadPool, SubmitAfterShutdownIsStatusError) {
   ThreadPool Pool(2);
+  EXPECT_EQ(Pool.numThreads(), 2u);
   std::atomic<int> Ran{0};
-  ASSERT_TRUE(Pool.submit([&] { ++Ran; }).isOk());
-  Pool.waitIdle();
+  WaitGroup Group;
+  ASSERT_TRUE(Pool.submit([&] { ++Ran; }, &Group).isOk());
+  Group.wait();
   Pool.shutdown();
   const size_t DiagsBefore = diag::DiagSink::global().count();
   const diag::Status S = Pool.submit([&] { ++Ran; });
@@ -282,7 +318,7 @@ TEST(ThreadPool, WaitGroupScopesOneBatch) {
   std::atomic<int> MineRan{0};
   std::atomic<bool> OtherDone{false};
   // A foreign long-running job on the same pool must not extend
-  // Mine.wait() the way pool-wide waitIdle would.
+  // Mine.wait().
   ASSERT_TRUE(Pool
                   .submit([&] {
                     while (!OtherDone.load())
@@ -293,12 +329,11 @@ TEST(ThreadPool, WaitGroupScopesOneBatch) {
     ASSERT_TRUE(Pool.submit([&] { ++MineRan; }, &Mine).isOk());
   Mine.wait();
   EXPECT_EQ(MineRan.load(), 16);
-  OtherDone = true;
-  Pool.waitIdle();
+  OtherDone = true; // the destructor drains the foreign job
 }
 
-// A job may submit follow-up work into its own group (the pipelined
-// record -> reload pattern); the group must not release early.
+// A job may submit follow-up work into its own group (WaitGroup's
+// documented contract); the group must not release early.
 TEST(ThreadPool, NestedSubmitExtendsGroup) {
   ThreadPool Pool(4);
   WaitGroup Group;
@@ -319,37 +354,50 @@ TEST(ThreadPool, NestedSubmitExtendsGroup) {
   EXPECT_EQ(Stage2.load(), 8);
 }
 
-// Stealing smoke: one deliberately skewed schedule (a long job then a
-// burst of short ones) completes everything at every seed.
+// Skewed-load smoke: a long job then a burst of short ones; the other
+// workers drain the burst while the long job holds its worker.  (The
+// name predates the single-queue pool.)
 TEST(ThreadPool, WorkStealingCompletesSkewedLoad) {
-  for (const uint64_t Seed :
-       {ThreadPool::DefaultStealSeed, uint64_t(1), uint64_t(0xDEADBEEF)}) {
-    ThreadPool Pool(4, Seed);
-    WaitGroup Group;
-    std::atomic<int> Ran{0};
-    ASSERT_TRUE(Pool
-                    .submit(
-                        [&] {
-                          std::this_thread::sleep_for(
-                              std::chrono::milliseconds(5));
-                          ++Ran;
-                        },
-                        &Group)
-                    .isOk());
-    for (int I = 0; I != 500; ++I)
-      ASSERT_TRUE(Pool.submit([&] { ++Ran; }, &Group).isOk());
-    Group.wait();
-    EXPECT_EQ(Ran.load(), 501) << "seed " << Seed;
+  ThreadPool Pool(4);
+  WaitGroup Group;
+  std::atomic<int> Ran{0};
+  ASSERT_TRUE(Pool
+                  .submit(
+                      [&] {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                        ++Ran;
+                      },
+                      &Group)
+                  .isOk());
+  for (int I = 0; I != 500; ++I)
+    ASSERT_TRUE(Pool.submit([&] { ++Ran; }, &Group).isOk());
+  Group.wait();
+  EXPECT_EQ(Ran.load(), 501);
+}
+
+// fanOut starts one copy per worker at most, never more than asked,
+// and runs refused copies inline once the pool is shut down.
+TEST(ThreadPool, FanOutRunsAtMostOneCopyPerWorker) {
+  ThreadPool Pool(3);
+  for (const size_t Asked : {size_t(0), size_t(1), size_t(2), size_t(3),
+                             size_t(100)}) {
+    std::atomic<size_t> Copies{0};
+    Pool.fanOut(Asked, [&] { ++Copies; });
+    EXPECT_EQ(Copies.load(), std::min<size_t>(Asked, 3)) << Asked;
   }
+  Pool.shutdown();
+  std::atomic<size_t> Inline{0};
+  Pool.fanOut(2, [&] { ++Inline; });
+  EXPECT_EQ(Inline.load(), 2u);
 }
 
 TEST(ThreadPool, SharedRegistryReusesPools) {
   ThreadPool &A = ThreadPool::shared(2);
   ThreadPool &B = ThreadPool::shared(2);
   EXPECT_EQ(&A, &B);
-  // Distinct thread counts and seeds are distinct pools.
+  // Distinct thread counts are distinct pools.
   EXPECT_NE(&A, &ThreadPool::shared(3));
-  EXPECT_NE(&A, &ThreadPool::shared(2, 12345));
   // The auto count resolves before keying: 0 and the explicit value
   // share one pool.
   unsigned HW = std::thread::hardware_concurrency();
