@@ -2,6 +2,8 @@
 
 #include "service/ResultCache.h"
 
+#include "support/FileIO.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -88,18 +90,6 @@ diag::Expected<ShardResult> parseEntry(const std::string &Bytes,
                                      static_cast<size_t>(PayloadSize)));
 }
 
-/// Reads the whole file at \p Path into \p Out with one sized read.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream IS(Path, std::ios::binary | std::ios::ate);
-  if (!IS)
-    return false;
-  const std::streamsize Size = IS.tellg();
-  if (Size < 0 || !IS.seekg(0))
-    return false;
-  Out.resize(static_cast<size_t>(Size));
-  return static_cast<bool>(IS.read(Out.data(), Size));
-}
-
 } // namespace
 
 ResultCache::ResultCache(std::string Dir, bool Writable,
@@ -141,8 +131,10 @@ bool ResultCache::lookup(uint64_t Key, ShardResult &Out) {
   // corrupt entry.
   const std::string Path = entryPath(Key);
   std::string Bytes;
-  if (!readFile(Path, Bytes)) {
-    // Absent entry: the ordinary cold-cache miss.
+  if (!readRegularFile(Path, Bytes).isOk()) {
+    // Absent entry: the ordinary cold-cache miss.  A FIFO or directory
+    // named like an entry is one too (readRegularFile never blocks on
+    // it).
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Counters.Misses;
     return false;
@@ -158,7 +150,8 @@ bool ResultCache::lookup(uint64_t Key, ShardResult &Out) {
     ++Counters.CorruptEntries;
     ++Counters.Misses;
     std::string Current;
-    if (Writable && readFile(Path, Current) && Current == Bytes) {
+    if (Writable && readRegularFile(Path, Current).isOk() &&
+        Current == Bytes) {
       std::error_code EC;
       std::filesystem::remove(Path, EC);
     }
@@ -219,7 +212,7 @@ bool ResultCache::store(uint64_t Key, const ShardResult &Result) {
   // require the payload to re-serialize bit-identically.  A store that
   // cannot prove its own readability never lands.
   std::string Readback;
-  if (!readFile(Tmp, Readback) || Readback != Entry)
+  if (!readRegularFile(Tmp, Readback).isOk() || Readback != Entry)
     return Fail();
   diag::Expected<ShardResult> Parsed = parseEntry(Readback, Key);
   if (!Parsed.hasValue() ||

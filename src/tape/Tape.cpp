@@ -98,6 +98,45 @@ unsigned scorpio::opArity(OpKind K) {
   return 0;
 }
 
+diag::Expected<Tape> Tape::adopt(std::vector<Interval> Values,
+                                 std::vector<TapeOp> Ops,
+                                 std::vector<TapeEdges> Edges,
+                                 std::vector<NodeId> Inputs,
+                                 std::vector<std::string> Divergences) {
+  const auto Refuse = [](const char *Why) {
+    return diag::Status::error(diag::ErrC::InvalidArgument,
+                               std::string("Tape::adopt: ") + Why);
+  };
+  const size_t N = Values.size();
+  if (Ops.size() != N || Edges.size() != N)
+    return Refuse("node arrays differ in length");
+  size_t NextInput = 0;
+  for (size_t I = 0; I != N; ++I) {
+    if (static_cast<size_t>(Ops[I].Kind) >= NumOpKinds)
+      return Refuse("unknown op kind");
+    const TapeEdges &E = Edges[I];
+    if (E.NumArgs > 2)
+      return Refuse("node records more than two arguments");
+    for (unsigned A = 0; A != E.NumArgs; ++A)
+      if (E.Args[A] < 0 || static_cast<size_t>(E.Args[A]) >= I)
+        return Refuse("argument id is not an earlier node");
+    if (Ops[I].Kind == OpKind::Input &&
+        (NextInput == Inputs.size() ||
+         Inputs[NextInput++] != static_cast<NodeId>(I)))
+      return Refuse("input list is not the Input nodes in id order");
+  }
+  if (NextInput != Inputs.size())
+    return Refuse("input list is not the Input nodes in id order");
+  Tape T;
+  T.Values = std::move(Values);
+  T.Ops = std::move(Ops);
+  T.Edges = std::move(Edges);
+  T.Adjoints.assign(N, Interval(0.0));
+  T.Inputs = std::move(Inputs);
+  T.Divergences = std::move(Divergences);
+  return T;
+}
+
 void Tape::reserve(size_t ExpectedNodes) {
   Values.reserve(ExpectedNodes);
   Ops.reserve(ExpectedNodes);

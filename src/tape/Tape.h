@@ -31,10 +31,12 @@
 /// functions themselves accept such references as arguments: they copy
 /// every operand before appending anything.
 ///
-/// Edge invariant: every recorded argument id of node Id lies in
-/// [0, Id).  The record functions enforce it (an out-of-range or
-/// forward id is demoted to a passive operand), and a deserialized tape
-/// is rebuilt through them, so a pass over the raw arrays may index by
+/// Edge invariant: every node carries at most two recorded arguments,
+/// and each argument id of node Id lies in [0, Id).  The record
+/// functions enforce it (an out-of-range or forward id is demoted to a
+/// passive operand), and Tape::adopt, the one way a deserialized tape
+/// is built, re-checks it over the whole node stream and refuses a
+/// stream that breaks it.  So a pass over the raw arrays may index by
 /// argument id without a check, and every consumer is visited after
 /// all of its operands.
 ///
@@ -203,6 +205,20 @@ public:
   // assigns *into* its owned tape, whose address is stable.
   Tape(Tape &&) = default;
   Tape &operator=(Tape &&) = default;
+
+  /// Builds a tape from whole node arrays in one pass: the arrays are
+  /// moved in, not re-recorded, and the adjoints start at [0, 0].  This
+  /// is how a deserialized tape is built (tape/TapeIO.h).  The arrays
+  /// come from outside the recording API, so every node is live-checked:
+  /// equal array lengths, known op kinds, the edge invariant (file
+  /// comment), and \p Inputs naming exactly the Input nodes in id order
+  /// (the list recordInput would have built).  A stream that fails any
+  /// check yields an error Status and no tape.
+  static diag::Expected<Tape> adopt(std::vector<Interval> Values,
+                                    std::vector<TapeOp> Ops,
+                                    std::vector<TapeEdges> Edges,
+                                    std::vector<NodeId> Inputs,
+                                    std::vector<std::string> Divergences);
 
   /// Preallocates storage for \p ExpectedNodes nodes.  A pure hint:
   /// recording beyond it simply grows the arrays.  Kernels that know

@@ -2,13 +2,16 @@
 
 #include "tape/TapeIO.h"
 
+#include "support/FileIO.h"
+
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <type_traits>
 
 using namespace scorpio;
@@ -235,29 +238,31 @@ std::string rleCompress(const std::string &Raw) {
   return Out;
 }
 
-bool rleDecompress(const char *Data, size_t Size, uint64_t RawSize,
-                   std::string &Out) {
-  Out.clear();
-  Out.reserve(RawSize);
-  size_t I = 0;
+/// Decodes an RLE token stream into \p Out, which holds exactly the
+/// RawSize bytes the stream must produce.  Fails on a truncated token,
+/// on output past RawSize and on a stream that ends short of it.
+bool rleDecompress(const char *Data, size_t Size, char *Out, size_t RawSize) {
+  size_t I = 0, O = 0;
   while (I < Size) {
     const uint8_t C = static_cast<uint8_t>(Data[I++]);
     if (C < 0x80) {
       const size_t Lit = static_cast<size_t>(C) + 1;
-      if (I + Lit > Size || Out.size() + Lit > RawSize)
+      if (I + Lit > Size || O + Lit > RawSize)
         return false;
-      Out.append(Data + I, Lit);
+      std::memcpy(Out + O, Data + I, Lit);
       I += Lit;
+      O += Lit;
     } else {
       if (I >= Size)
         return false;
       const size_t Rep = static_cast<size_t>(C - 0x80) + 3;
-      if (Out.size() + Rep > RawSize)
+      if (O + Rep > RawSize)
         return false;
-      Out.append(Rep, Data[I++]);
+      std::memset(Out + O, Data[I++], Rep);
+      O += Rep;
     }
   }
-  return Out.size() == RawSize;
+  return O == RawSize;
 }
 
 /// OPS varint layout: [NumNodes kind bytes][NumNodes zigzag varints of
@@ -277,30 +282,6 @@ std::string varintEncodeOps(const std::string &Raw, size_t NumNodes) {
     putVarint(Out, zigzag(Aux));
   }
   return Out;
-}
-
-bool varintDecodeOps(const char *Data, size_t Size, uint64_t NumNodes,
-                     std::string &Out) {
-  // >= 1 kind byte + >= 1 varint byte per node: rejecting here pins the
-  // 5*NumNodes allocation below against the real encoded size.
-  if (Size < 2 * NumNodes)
-    return false;
-  Out.assign(NumNodes * OpsStride, '\0');
-  size_t Pos = NumNodes;
-  for (size_t I = 0; I != NumNodes; ++I) {
-    Out[I * OpsStride] = Data[I];
-    uint64_t Z = 0;
-    if (!getVarint(Data, Size, Pos, Z))
-      return false;
-    const int64_t V = unzigzag(Z);
-    if (V < std::numeric_limits<int32_t>::min() ||
-        V > std::numeric_limits<int32_t>::max())
-      return false;
-    // toLittleEndian is its own inverse: host value -> canonical bytes.
-    const int32_t Aux = toLittleEndian(static_cast<int32_t>(V));
-    std::memcpy(Out.data() + I * OpsStride + 1, &Aux, 4);
-  }
-  return Pos == Size;
 }
 
 /// EDGE varint layout: [NumNodes arg-count bytes][one zigzag varint per
@@ -326,50 +307,6 @@ std::string varintEncodeEdge(const std::string &Raw, size_t NumNodes) {
     }
   }
   return Counts + Deltas + Partials;
-}
-
-bool varintDecodeEdge(const char *Data, size_t Size, uint64_t NumNodes,
-                      std::string &Out) {
-  if (Size < NumNodes) // one arg-count byte per node at minimum
-    return false;
-  uint64_t TotalArgs = 0;
-  for (size_t I = 0; I != NumNodes; ++I) {
-    const uint8_t C = static_cast<uint8_t>(Data[I]);
-    TotalArgs += C < 2 ? C : 2;
-  }
-  std::vector<int32_t> Args;
-  Args.reserve(TotalArgs);
-  size_t Pos = NumNodes;
-  for (size_t I = 0; I != NumNodes; ++I) {
-    const uint8_t C = static_cast<uint8_t>(Data[I]);
-    const unsigned Stored = C < 2 ? C : 2;
-    for (unsigned A = 0; A != Stored; ++A) {
-      uint64_t Z = 0;
-      if (!getVarint(Data, Size, Pos, Z))
-        return false;
-      const int64_t Arg = static_cast<int64_t>(I) - unzigzag(Z);
-      if (Arg < std::numeric_limits<int32_t>::min() ||
-          Arg > std::numeric_limits<int32_t>::max())
-        return false;
-      Args.push_back(static_cast<int32_t>(Arg));
-    }
-  }
-  if (Size - Pos != TotalArgs * 16)
-    return false;
-  Out.clear();
-  Out.reserve(NumNodes + TotalArgs * EdgeArgStride);
-  size_t AI = 0;
-  for (size_t I = 0; I != NumNodes; ++I) {
-    const uint8_t C = static_cast<uint8_t>(Data[I]);
-    Out.push_back(static_cast<char>(C));
-    const unsigned Stored = C < 2 ? C : 2;
-    for (unsigned A = 0; A != Stored; ++A, ++AI) {
-      const int32_t Arg = toLittleEndian(Args[AI]); // host -> canonical
-      Out.append(reinterpret_cast<const char *>(&Arg), 4);
-      Out.append(Data + Pos + AI * 16, 16);
-    }
-  }
-  return true;
 }
 
 struct SectionOut {
@@ -412,49 +349,8 @@ void compressSection(SectionOut &S, size_t NumNodes) {
   S.Flags = BestFlags;
 }
 
-/// Reverses the stored-form encoding of one section into its raw (v1
-/// wire layout) payload.  All size checks run before the corresponding
-/// allocation; on any codec violation the empty Expected carries the
-/// reason.
 Status stapError(std::string Message) {
   return Status::error(ErrC::InvalidArgument, "stap: " + std::move(Message));
-}
-
-Expected<std::string> decodeSectionPayload(uint32_t Tag, uint32_t Flags,
-                                           const char *Data, size_t Size,
-                                           uint64_t NumNodes) {
-  std::string Stage(Data, Size);
-  if (Flags & StapSectionRle) {
-    if (Size < 8)
-      return stapError("section '" + tagName(Tag) +
-                       "': RLE payload shorter than its size header");
-    uint64_t RawSize = 0;
-    std::memcpy(&RawSize, Data, 8);
-    RawSize = toLittleEndian(RawSize); // canonical bytes -> host value
-    const uint64_t TokenBytes = Size - 8;
-    // The decoder can emit at most RleMaxExpansion bytes per stored
-    // byte; a stored size above that bound is a decompression bomb.
-    if (RawSize > TokenBytes * RleMaxExpansion)
-      return stapError("section '" + tagName(Tag) +
-                       "': RLE size exceeds the codec expansion bound");
-    std::string Out;
-    if (!rleDecompress(Data + 8, TokenBytes, RawSize, Out))
-      return stapError("section '" + tagName(Tag) +
-                       "': malformed RLE token stream");
-    Stage = std::move(Out);
-  }
-  if (Flags & StapSectionVarint) {
-    std::string Out;
-    const bool Ok =
-        Tag == TagOps
-            ? varintDecodeOps(Stage.data(), Stage.size(), NumNodes, Out)
-            : varintDecodeEdge(Stage.data(), Stage.size(), NumNodes, Out);
-    if (!Ok)
-      return stapError("section '" + tagName(Tag) +
-                       "': malformed varint encoding");
-    Stage = std::move(Out);
-  }
-  return Expected<std::string>(std::move(Stage));
 }
 
 //===----------------------------------------------------------------------===//
@@ -578,15 +474,239 @@ Status writeSections(std::ostream &OS, size_t NumNodes,
   return Status::ok();
 }
 
+//===----------------------------------------------------------------------===//
+// Reader
+//
+// readStap views the file in place: the section index is a fixed array
+// of views into the file, an uncompressed payload is parsed where it
+// lies, an RLE payload decodes into one reused scratch buffer, and the
+// OPS/EDGE varint codecs write straight into the RawNodes the gate
+// checks.
+//===----------------------------------------------------------------------===//
+
+constexpr size_t HeaderSize = 4 + 4 + 8 + 8 + 8;
+constexpr size_t ChecksumAt = 4 + 4 + 8 + 8;
+constexpr size_t TableEntrySize = 24;
+
+/// One slot per known tag, in the order the reader consumes them.
+constexpr uint32_t SlotTags[] = {TagOps,  TagVals, TagEdge, TagInpt,
+                                 TagOutp, TagMeta, TagLabl, TagVars,
+                                 TagDivg, TagSig};
+
+/// A section-table entry as the index keeps it: the stored payload,
+/// viewed in the file, and its v2 codec flags.
+struct SectionRef {
+  std::string_view Stored;
+  uint32_t Flags = 0;
+  bool Present = false;
+};
+
+/// The fixed section index of one file: one slot per known tag.
+struct SectionIndex {
+  SectionRef Slots[std::size(SlotTags)];
+
+  /// The slot of \p Tag, or null for a tag the format does not define.
+  SectionRef *slot(uint32_t Tag) {
+    for (size_t I = 0; I != std::size(SlotTags); ++I)
+      if (SlotTags[I] == Tag)
+        return &Slots[I];
+    return nullptr;
+  }
+  /// The slot of a known \p Tag.
+  const SectionRef &operator[](uint32_t Tag) { return *slot(Tag); }
+};
+
+/// The decoded size an RLE payload's header announces (0 when the
+/// payload is too short to hold the header).
+uint64_t rleRawSize(std::string_view Stored) {
+  uint64_t RawSize = 0;
+  if (Stored.size() >= 8)
+    std::memcpy(&RawSize, Stored.data(), 8);
+  return toLittleEndian(RawSize); // canonical bytes -> host value
+}
+
+/// Undoes the RLE stage of a section, if it has one, and returns a view
+/// of what is left: the raw payload, or the varint stream of a
+/// varint-flagged OPS/EDGE.  RLE output lands in \p Scratch (the view
+/// points into it, so it lasts until the next call); any other payload
+/// is viewed in place.  The stored size is capped by the codec's
+/// worst-case expansion before anything is allocated, so a hostile
+/// size header cannot demand a multi-gigabyte buffer.
+Expected<std::string_view> undoRle(uint32_t Tag, const SectionRef &S,
+                                   std::string &Scratch) {
+  if (!(S.Flags & StapSectionRle))
+    return S.Stored;
+  if (S.Stored.size() < 8)
+    return stapError("section '" + tagName(Tag) +
+                     "': RLE payload shorter than its size header");
+  const uint64_t RawSize = rleRawSize(S.Stored);
+  const uint64_t TokenBytes = S.Stored.size() - 8;
+  if (RawSize > TokenBytes * RleMaxExpansion)
+    return stapError("section '" + tagName(Tag) +
+                     "': RLE size exceeds the codec expansion bound");
+  Scratch.resize(static_cast<size_t>(RawSize));
+  if (!rleDecompress(S.Stored.data() + 8, TokenBytes, Scratch.data(),
+                     Scratch.size()))
+    return stapError("section '" + tagName(Tag) +
+                     "': malformed RLE token stream");
+  return std::string_view(Scratch);
+}
+
+Status malformedVarint(uint32_t Tag) {
+  return stapError("section '" + tagName(Tag) +
+                   "': malformed varint encoding");
+}
+
+Status nodeCountMismatch() {
+  return stapError("node count does not match the OPS/VALS section sizes");
+}
+
+/// Decodes OPS into the kind and exponent of \p NumNodes fresh nodes.
+/// NumNodes is attacker-controlled: the nodes are allocated only after
+/// the payload has shown it can hold that many (5 raw bytes, or at
+/// least 2 varint bytes, per node).
+Status decodeOps(std::string_view P, uint32_t Flags, bool FileBigEndian,
+                 uint64_t NumNodes, std::vector<verify::RawNode> &Nodes) {
+  const bool Varint = Flags & StapSectionVarint;
+  if (Varint ? P.size() < 2 * NumNodes : P.size() != NumNodes * OpsStride)
+    return Varint ? malformedVarint(TagOps) : nodeCountMismatch();
+  Nodes.resize(static_cast<size_t>(NumNodes));
+  // Varint layout: [NumNodes kind bytes][NumNodes zigzag varints of the
+  // aux exponent].  Raw layout: per node, kind u8 then aux i32.
+  Cursor C(P.data(), P.size(), FileBigEndian);
+  size_t Pos = Nodes.size();
+  for (size_t I = 0; I != Nodes.size(); ++I) {
+    verify::RawNode &N = Nodes[I];
+    uint8_t Kind;
+    if (Varint) {
+      Kind = static_cast<uint8_t>(P[I]);
+      uint64_t Z = 0;
+      if (!getVarint(P.data(), P.size(), Pos, Z))
+        return malformedVarint(TagOps);
+      const int64_t V = unzigzag(Z);
+      if (V < std::numeric_limits<int32_t>::min() ||
+          V > std::numeric_limits<int32_t>::max())
+        return malformedVarint(TagOps);
+      N.AuxInt = static_cast<int32_t>(V);
+    } else {
+      Kind = C.get<uint8_t>();
+      N.AuxInt = C.get<int32_t>();
+    }
+    if (Kind >= NumOpKinds)
+      return stapError("invalid op kind " + std::to_string(Kind));
+    N.Kind = static_cast<OpKind>(Kind);
+  }
+  if (Varint && Pos != P.size())
+    return malformedVarint(TagOps);
+  return Status::ok();
+}
+
+/// Decodes VALS into the value bounds of \p Nodes.
+Status decodeVals(std::string_view P, bool FileBigEndian,
+                  std::vector<verify::RawNode> &Nodes) {
+  if (P.size() != Nodes.size() * ValsStride)
+    return nodeCountMismatch();
+  Cursor C(P.data(), P.size(), FileBigEndian);
+  for (verify::RawNode &N : Nodes) {
+    N.ValueLo = C.get<double>();
+    N.ValueHi = C.get<double>();
+  }
+  return Status::ok();
+}
+
+/// Decodes EDGE into the argument ids and partial bounds of \p Nodes.
+Status decodeEdge(std::string_view P, uint32_t Flags, bool FileBigEndian,
+                  std::vector<verify::RawNode> &Nodes) {
+  const auto TooMany = [](unsigned Count) {
+    return stapError("node edge count " + std::to_string(Count) +
+                     " exceeds the binary-operation maximum");
+  };
+  if (!(Flags & StapSectionVarint)) {
+    // Raw layout: per node, the arg count u8, then per argument the id
+    // i32 and the partial's lower and upper bound.
+    Cursor C(P.data(), P.size(), FileBigEndian);
+    for (verify::RawNode &N : Nodes) {
+      N.NumArgs = C.get<uint8_t>();
+      if (N.NumArgs > 2)
+        return TooMany(N.NumArgs);
+      for (unsigned A = 0; A != N.NumArgs; ++A) {
+        N.Args[A] = C.get<NodeId>();
+        N.PartialLo[A] = C.get<double>();
+        N.PartialHi[A] = C.get<double>();
+      }
+    }
+    if (!C.atEnd())
+      return stapError("EDGE section is truncated or oversized");
+    return Status::ok();
+  }
+  // Varint layout: [NumNodes arg-count bytes][one zigzag varint per
+  // argument: consumer index minus argument id][raw partial-bound
+  // doubles, 16 bytes per argument].
+  const size_t NumNodes = Nodes.size();
+  if (P.size() < NumNodes)
+    return malformedVarint(TagEdge);
+  uint64_t TotalArgs = 0;
+  for (size_t I = 0; I != NumNodes; ++I) {
+    const uint8_t Count = static_cast<uint8_t>(P[I]);
+    if (Count > 2)
+      return TooMany(Count);
+    TotalArgs += Count;
+  }
+  if (P.size() - NumNodes < TotalArgs * 16)
+    return malformedVarint(TagEdge);
+  const size_t PartialsAt = P.size() - static_cast<size_t>(TotalArgs) * 16;
+  Cursor Partials(P.data() + PartialsAt, P.size() - PartialsAt);
+  size_t Pos = NumNodes;
+  for (size_t I = 0; I != NumNodes; ++I) {
+    verify::RawNode &N = Nodes[I];
+    N.NumArgs = static_cast<uint8_t>(P[I]);
+    for (unsigned A = 0; A != N.NumArgs; ++A) {
+      uint64_t Z = 0;
+      if (!getVarint(P.data(), PartialsAt, Pos, Z))
+        return malformedVarint(TagEdge);
+      // Modular arithmetic: a hostile delta must not overflow int64.
+      const int64_t Arg = static_cast<int64_t>(
+          static_cast<uint64_t>(I) - static_cast<uint64_t>(unzigzag(Z)));
+      if (Arg < std::numeric_limits<int32_t>::min() ||
+          Arg > std::numeric_limits<int32_t>::max())
+        return malformedVarint(TagEdge);
+      N.Args[A] = static_cast<NodeId>(Arg);
+      N.PartialLo[A] = Partials.get<double>();
+      N.PartialHi[A] = Partials.get<double>();
+    }
+  }
+  if (Pos != PartialsAt)
+    return malformedVarint(TagEdge);
+  return Status::ok();
+}
+
+/// Decodes an INPT/OUTP id list (a u64 count, then the ids); at most
+/// \p NumNodes ids.
+bool decodeIdList(std::string_view P, bool FileBigEndian, uint64_t NumNodes,
+                  std::vector<NodeId> &Out) {
+  Cursor C(P.data(), P.size(), FileBigEndian);
+  const uint64_t Count = C.get<uint64_t>();
+  if (Count > NumNodes)
+    return false;
+  Out.resize(static_cast<size_t>(Count));
+  for (NodeId &Id : Out)
+    Id = C.get<NodeId>();
+  return C.atEnd();
+}
+
 } // namespace
 
 uint64_t scorpio::stapSchemaHash() {
-  const std::string Schema =
-      "stap|ops:" + std::to_string(OpsStride) +
-      "|vals:" + std::to_string(ValsStride) +
-      "|edge:1+" + std::to_string(EdgeArgStride) +
-      "*arg|id:i32|opkinds:" + std::to_string(NumOpKinds);
-  return fnv1a64(Schema.data(), Schema.size(), Fnv1aBasis);
+  // A function of compile-time constants: hash it once per process.
+  static const uint64_t Hash = [] {
+    const std::string Schema =
+        "stap|ops:" + std::to_string(OpsStride) +
+        "|vals:" + std::to_string(ValsStride) +
+        "|edge:1+" + std::to_string(EdgeArgStride) +
+        "*arg|id:i32|opkinds:" + std::to_string(NumOpKinds);
+    return fnv1a64(Schema.data(), Schema.size(), Fnv1aBasis);
+  }();
+  return Hash;
 }
 
 Status scorpio::writeStap(std::ostream &OS, const verify::RawTape &Raw,
@@ -679,13 +799,8 @@ Status scorpio::saveStap(const std::string &Path, const Tape &T,
   return Status::ok();
 }
 
-Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
-  std::ostringstream Buf;
-  Buf << IS.rdbuf();
-  const std::string File = Buf.str();
-
+Expected<LoadedTape> scorpio::readStap(std::string_view File) {
   // Header.
-  const size_t HeaderSize = 4 + 4 + 8 + 8 + 8;
   if (File.size() < 4 || std::memcmp(File.data(), Magic, 4) != 0)
     return stapError("not a .stap file (bad magic)");
   if (File.size() < HeaderSize)
@@ -719,193 +834,149 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
   if (NumNodes > (uint64_t{1} << 32) || NumSections > 1024)
     return stapError("implausible node or section count");
 
-  // Section table.
-  if (File.size() < HeaderSize + NumSections * 24)
+  // Section table, first pass: flags and layout.  Layout strictness
+  // (both versions): payloads sit contiguously in table order
+  // immediately after the table, and the file ends at the last payload
+  // byte.  This closes the blind spots a payload-domain checksum cannot
+  // see — an offset flip on a zero-sized section, a gap, an overlap, or
+  // trailing garbage.
+  const size_t TableSize = static_cast<size_t>(NumSections) * TableEntrySize;
+  if (File.size() < HeaderSize + TableSize)
     return stapError("truncated section table");
-  struct Section {
-    uint32_t Tag;
-    uint32_t Flags;
-    uint64_t Offset;
-    uint64_t Size;
+  const auto TableCursor = [&] {
+    return Cursor(File.data() + HeaderSize, TableSize, FileBigEndian);
   };
-  std::vector<Section> Sections;
-  Cursor TableCur(File.data() + HeaderSize, NumSections * 24,
-                  FileBigEndian);
-  // Layout strictness (both versions): payloads sit contiguously in
-  // table order immediately after the table, and the file ends at the
-  // last payload byte.  This closes the blind spots a payload-domain
-  // checksum cannot see — an offset flip on a zero-sized section, a
-  // gap, an overlap, or trailing garbage.
-  uint64_t ExpectedOffset = HeaderSize + NumSections * 24;
+  Cursor Table = TableCursor();
+  uint64_t ExpectedOffset = HeaderSize + TableSize;
   for (uint64_t I = 0; I != NumSections; ++I) {
-    Section S;
-    S.Tag = TableCur.get<uint32_t>();
-    S.Flags = TableCur.get<uint32_t>();
-    S.Offset = TableCur.get<uint64_t>();
-    S.Size = TableCur.get<uint64_t>();
+    const uint32_t Tag = Table.get<uint32_t>();
+    const uint32_t Flags = Table.get<uint32_t>();
+    const uint64_t Offset = Table.get<uint64_t>();
+    const uint64_t Size = Table.get<uint64_t>();
     if (Version < 2) {
       // v1: the flags word is a reserved must-be-zero pad.
-      if (S.Flags != 0)
+      if (Flags != 0)
         return stapError("reserved section-table bytes must be zero");
     } else {
-      if (S.Flags & ~StapSectionFlagMask)
-        return stapError("unknown section flags on '" + tagName(S.Tag) +
-                         "'");
+      if (Flags & ~StapSectionFlagMask)
+        return stapError("unknown section flags on '" + tagName(Tag) + "'");
       // The section codecs are defined over canonical little-endian
       // payloads; a legacy big-endian writer's compressed stream would
       // decode to garbage, so refuse it outright.
-      if (FileBigEndian && S.Flags != 0)
+      if (FileBigEndian && Flags != 0)
         return stapError("byte-swapped file carries compressed section '" +
-                         tagName(S.Tag) +
+                         tagName(Tag) +
                          "' (legacy big-endian tapes must be uncompressed)");
-      if ((S.Flags & StapSectionVarint) && S.Tag != TagOps &&
-          S.Tag != TagEdge)
+      if ((Flags & StapSectionVarint) && Tag != TagOps && Tag != TagEdge)
         return stapError("varint flag is only defined for OPS/EDGE, not '" +
-                         tagName(S.Tag) + "'");
+                         tagName(Tag) + "'");
     }
-    if (!TableCur.ok() || S.Offset > File.size() ||
-        S.Size > File.size() - S.Offset)
-      return stapError("section '" + tagName(S.Tag) +
+    if (!Table.ok() || Offset > File.size() || Size > File.size() - Offset)
+      return stapError("section '" + tagName(Tag) +
                        "' extends past the end of the file");
-    if (S.Offset != ExpectedOffset)
-      return stapError("section '" + tagName(S.Tag) +
+    if (Offset != ExpectedOffset)
+      return stapError("section '" + tagName(Tag) +
                        "' is not stored at its expected offset");
-    ExpectedOffset += S.Size;
-    Sections.push_back(S);
+    ExpectedOffset += Size;
   }
   if (ExpectedOffset != File.size())
     return stapError("file size does not match the section layout "
                      "(trailing bytes?)");
 
-  // Checksum.  v1 hashes the payloads in table order; v2 hashes the
-  // whole file with the checksum field zeroed.
+  // Checksum.  v1 hashes the payloads in table order, which the layout
+  // check made one contiguous run; v2 hashes the whole file with the
+  // checksum field zeroed.
   uint64_t Actual = Fnv1aBasis;
+  const size_t PayloadsAt = HeaderSize + TableSize;
   if (Version >= 2) {
-    const size_t ChecksumAt = 4 + 4 + 8 + 8;
     Actual = fnv1a64(File.data(), ChecksumAt, Actual);
     const char Zeros[8] = {};
     Actual = fnv1a64(Zeros, 8, Actual);
     Actual = fnv1a64(File.data() + HeaderSize, File.size() - HeaderSize,
                      Actual);
   } else {
-    for (const Section &S : Sections)
-      Actual = fnv1a64(File.data() + S.Offset, S.Size, Actual);
+    Actual = fnv1a64(File.data() + PayloadsAt, File.size() - PayloadsAt,
+                     Actual);
   }
   if (Actual != Checksum)
     return stapError("payload checksum mismatch (corrupted file)");
 
-  // Index sections; both versions are strict: no duplicates, no unknown
-  // tags (META is a v2 tag — in a v1 file it is unknown).
-  std::map<uint32_t, const Section *> ByTag;
-  for (const Section &S : Sections) {
-    switch (S.Tag) {
-    case TagOps:
-    case TagVals:
-    case TagEdge:
-    case TagInpt:
-    case TagOutp:
-    case TagLabl:
-    case TagVars:
-    case TagDivg:
-    case TagSig:
-      break;
-    case TagMeta:
-      if (Version >= 2)
-        break;
-      return stapError("unknown section tag '" + tagName(S.Tag) + "'");
-    default:
-      return stapError("unknown section tag '" + tagName(S.Tag) + "'");
+  // Section table, second pass: the index.  Both versions are strict:
+  // no duplicates, no unknown tags (META is a v2 tag — in a v1 file it
+  // is unknown).
+  SectionIndex Index;
+  size_t ScratchSize = 0; // the largest admissible RLE output
+  Table = TableCursor();
+  for (uint64_t I = 0; I != NumSections; ++I) {
+    const uint32_t Tag = Table.get<uint32_t>();
+    const uint32_t Flags = Table.get<uint32_t>();
+    const uint64_t Offset = Table.get<uint64_t>();
+    const uint64_t Size = Table.get<uint64_t>();
+    SectionRef *S = Index.slot(Tag);
+    if (!S || (Tag == TagMeta && Version < 2))
+      return stapError("unknown section tag '" + tagName(Tag) + "'");
+    if (S->Present)
+      return stapError("duplicate section '" + tagName(Tag) + "'");
+    S->Stored =
+        File.substr(static_cast<size_t>(Offset), static_cast<size_t>(Size));
+    S->Flags = Flags;
+    S->Present = true;
+    if (Flags & StapSectionRle) {
+      const uint64_t RawSize = rleRawSize(S->Stored);
+      if (RawSize <= Size * RleMaxExpansion)
+        ScratchSize = std::max(ScratchSize, static_cast<size_t>(RawSize));
     }
-    if (!ByTag.emplace(S.Tag, &S).second)
-      return stapError("duplicate section '" + tagName(S.Tag) + "'");
   }
   for (uint32_t Required : {TagOps, TagVals, TagEdge, TagInpt, TagOutp})
-    if (!ByTag.count(Required))
+    if (!Index[Required].Present)
       return stapError("missing required section '" + tagName(Required) +
                        "'");
 
-  // Undo per-section encodings.  Every decode is capped by the codec's
-  // worst-case expansion before it allocates, so a hostile stored size
-  // cannot demand a multi-gigabyte buffer.
-  std::map<uint32_t, std::string> Decoded;
-  for (const auto &[Tag, S] : ByTag) {
-    Expected<std::string> Payload = decodeSectionPayload(
-        Tag, S->Flags, File.data() + S->Offset, S->Size, NumNodes);
-    if (!Payload)
-      return Payload.status();
-    Decoded[Tag] = std::move(Payload.value());
-  }
-  // Decoded payloads of a big-endian file keep the file's byte order
-  // (only uncompressed sections get this far), so the per-section
-  // cursors inherit the swap flag.
-  const auto SectionCursor = [&](uint32_t Tag) {
-    const std::string &P = Decoded[Tag];
-    return Cursor(P.data(), P.size(), FileBigEndian);
-  };
-
-  // NumNodes is attacker-controlled: pin it against the fixed-stride
-  // sections (OPS = 5, VALS = 16 bytes per node) before allocating
-  // anything proportional to it.  Decoded sizes are bounded by the real
-  // file size times the codec expansion caps, so a consistent NumNodes
-  // is too — no multi-gigabyte resize from one flipped header byte.
-  if (Decoded[TagOps].size() != NumNodes * OpsStride ||
-      Decoded[TagVals].size() != NumNodes * ValsStride)
-    return stapError("node count does not match the OPS/VALS section sizes");
-
-  // Decode the node stream into the raw mirror.
+  // Decode the node stream into the raw mirror the gate checks.  Every
+  // section is decoded and parsed before the next one reuses Scratch.
+  std::string Scratch;
+  Scratch.reserve(ScratchSize);
   verify::RawTape Raw;
-  Raw.Nodes.resize(NumNodes);
+  const auto Payload = [&](uint32_t Tag) {
+    return undoRle(Tag, Index[Tag], Scratch);
+  };
   {
-    Cursor C = SectionCursor(TagOps);
-    for (verify::RawNode &N : Raw.Nodes) {
-      const uint8_t Kind = C.get<uint8_t>();
-      N.AuxInt = C.get<int32_t>();
-      if (Kind >= NumOpKinds)
-        return stapError("invalid op kind " + std::to_string(Kind));
-      N.Kind = static_cast<OpKind>(Kind);
-    }
-    if (!C.atEnd())
-      return stapError("OPS section size does not match the node count");
+    Expected<std::string_view> P = Payload(TagOps);
+    if (!P)
+      return P.status();
+    if (Status S = decodeOps(P.value(), Index[TagOps].Flags, FileBigEndian,
+                             NumNodes, Raw.Nodes);
+        !S)
+      return S;
   }
   {
-    Cursor C = SectionCursor(TagVals);
-    for (verify::RawNode &N : Raw.Nodes) {
-      N.ValueLo = C.get<double>();
-      N.ValueHi = C.get<double>();
-    }
-    if (!C.atEnd())
-      return stapError("VALS section size does not match the node count");
+    Expected<std::string_view> P = Payload(TagVals);
+    if (!P)
+      return P.status();
+    if (Status S = decodeVals(P.value(), FileBigEndian, Raw.Nodes); !S)
+      return S;
   }
   {
-    Cursor C = SectionCursor(TagEdge);
-    for (verify::RawNode &N : Raw.Nodes) {
-      N.NumArgs = C.get<uint8_t>();
-      if (N.NumArgs > 2)
-        return stapError("node edge count " + std::to_string(N.NumArgs) +
-                         " exceeds the binary-operation maximum");
-      for (unsigned A = 0; A != N.NumArgs; ++A) {
-        N.Args[A] = C.get<NodeId>();
-        N.PartialLo[A] = C.get<double>();
-        N.PartialHi[A] = C.get<double>();
-      }
-    }
-    if (!C.atEnd())
-      return stapError("EDGE section is truncated or oversized");
+    Expected<std::string_view> P = Payload(TagEdge);
+    if (!P)
+      return P.status();
+    if (Status S = decodeEdge(P.value(), Index[TagEdge].Flags, FileBigEndian,
+                              Raw.Nodes);
+        !S)
+      return S;
   }
   const auto ReadIdList = [&](uint32_t Tag, std::vector<NodeId> &Out) {
-    Cursor C = SectionCursor(Tag);
-    const uint64_t Count = C.get<uint64_t>();
-    if (Count > NumNodes)
-      return false;
-    Out.reserve(Count);
-    for (uint64_t I = 0; I != Count; ++I)
-      Out.push_back(C.get<NodeId>());
-    return C.atEnd();
+    Expected<std::string_view> P = Payload(Tag);
+    if (!P)
+      return P.status();
+    if (!decodeIdList(P.value(), FileBigEndian, NumNodes, Out))
+      return stapError("malformed " + tagName(Tag) + " section");
+    return Status::ok();
   };
-  if (!ReadIdList(TagInpt, Raw.Inputs))
-    return stapError("malformed INPT section");
-  if (!ReadIdList(TagOutp, Raw.Outputs))
-    return stapError("malformed OUTP section");
+  if (Status S = ReadIdList(TagInpt, Raw.Inputs); !S)
+    return S;
+  if (Status S = ReadIdList(TagOutp, Raw.Outputs); !S)
+    return S;
 
   // The acceptance gate: the decoded node stream must satisfy every
   // structural rule before a Tape is built from it.  Refuse, never
@@ -928,8 +999,20 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
   const auto ValidId = [&](NodeId Id) {
     return Id >= 0 && static_cast<uint64_t>(Id) < NumNodes;
   };
-  if (ByTag.count(TagMeta)) {
-    Cursor C = SectionCursor(TagMeta);
+  // The payload cursor of an optional section; its view stays valid
+  // until the next section's decode.
+  const auto SectionCursor =
+      [&](uint32_t Tag) -> Expected<Cursor> {
+    Expected<std::string_view> P = Payload(Tag);
+    if (!P)
+      return P.status();
+    return Cursor(P.value().data(), P.value().size(), FileBigEndian);
+  };
+  if (Index[TagMeta].Present) {
+    Expected<Cursor> EC = SectionCursor(TagMeta);
+    if (!EC)
+      return EC.status();
+    Cursor &C = EC.value();
     TapeMeta Meta;
     Meta.SchemaHash = C.get<uint64_t>();
     Meta.ShardIndex = C.get<uint64_t>();
@@ -961,8 +1044,11 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
                        "incompatible scorpio build)");
     Loaded.Meta = std::move(Meta);
   }
-  if (ByTag.count(TagLabl)) {
-    Cursor C = SectionCursor(TagLabl);
+  if (Index[TagLabl].Present) {
+    Expected<Cursor> EC = SectionCursor(TagLabl);
+    if (!EC)
+      return EC.status();
+    Cursor &C = EC.value();
     const uint64_t Count = C.get<uint64_t>();
     if (Count > NumNodes)
       return stapError("malformed LABL section");
@@ -971,18 +1057,25 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
       std::string Name;
       if (!C.getString(Name) || !ValidId(Id))
         return stapError("malformed LABL section");
-      Loaded.Reg.Labels[Id] = std::move(Name);
+      // The writer emits labels in id order, so the end hint is O(1);
+      // a repeated id keeps its last name.
+      Loaded.Reg.Labels.insert_or_assign(Loaded.Reg.Labels.end(), Id,
+                                         std::move(Name));
     }
     if (!C.atEnd())
       return stapError("malformed LABL section");
   }
-  if (ByTag.count(TagVars)) {
-    Cursor C = SectionCursor(TagVars);
+  if (Index[TagVars].Present) {
+    Expected<Cursor> EC = SectionCursor(TagVars);
+    if (!EC)
+      return EC.status();
+    Cursor &C = EC.value();
     const auto ReadList =
         [&](std::vector<std::pair<NodeId, std::string>> &Out) {
           const uint64_t Count = C.get<uint64_t>();
           if (Count > NumNodes)
             return false;
+          Out.reserve(static_cast<size_t>(Count));
           for (uint64_t I = 0; I != Count; ++I) {
             const NodeId Id = C.get<NodeId>();
             std::string Name;
@@ -998,8 +1091,11 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
       return stapError("malformed VARS section");
   }
   std::vector<std::string> Divergences;
-  if (ByTag.count(TagDivg)) {
-    Cursor C = SectionCursor(TagDivg);
+  if (Index[TagDivg].Present) {
+    Expected<Cursor> EC = SectionCursor(TagDivg);
+    if (!EC)
+      return EC.status();
+    Cursor &C = EC.value();
     const uint64_t Count = C.get<uint64_t>();
     if (Count > (uint64_t{1} << 20))
       return stapError("malformed DIVG section");
@@ -1012,58 +1108,68 @@ Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
     if (!C.atEnd())
       return stapError("malformed DIVG section");
   }
-  if (ByTag.count(TagSig)) {
-    Cursor C = SectionCursor(TagSig);
+  if (Index[TagSig].Present) {
+    Expected<Cursor> EC = SectionCursor(TagSig);
+    if (!EC)
+      return EC.status();
+    Cursor &C = EC.value();
     const uint64_t Count = C.get<uint64_t>();
     if (Count != NumNodes)
       return stapError("SIG section size does not match the node count");
-    Loaded.Significance.reserve(Count);
-    for (uint64_t I = 0; I != Count; ++I)
-      Loaded.Significance.push_back(C.get<double>());
+    Loaded.Significance.resize(static_cast<size_t>(Count));
+    for (double &S : Loaded.Significance)
+      S = C.get<double>();
     if (!C.atEnd())
       return stapError("malformed SIG section");
   }
 
-  // Rebuild a real Tape through the recording API.  Post-gate this is
-  // loss-free: E003 guarantees every node has a representable shape, and
-  // E004/E005 guarantee every bound pair is a constructible Interval.
-  Loaded.T.reserve(NumNodes);
-  for (const verify::RawNode &N : Raw.Nodes) {
-    const Interval V(N.ValueLo, N.ValueHi);
-    switch (opArity(N.Kind)) {
-    case 0:
-      Loaded.T.recordInput(V);
-      break;
-    case 1:
-      Loaded.T.recordUnary(N.Kind, V, N.Args[0],
-                           Interval(N.PartialLo[0], N.PartialHi[0]),
-                           N.AuxInt);
-      break;
-    default:
-      Loaded.T.recordBinary(
-          N.Kind, V, N.NumArgs > 0 ? N.Args[0] : InvalidNodeId,
-          N.NumArgs > 0 ? Interval(N.PartialLo[0], N.PartialHi[0])
-                        : Interval(0.0),
-          N.NumArgs > 1 ? N.Args[1] : InvalidNodeId,
-          N.NumArgs > 1 ? Interval(N.PartialLo[1], N.PartialHi[1])
-                        : Interval(0.0));
-      break;
+  // Build the Tape from the verified nodes in one pass.  Post-gate this
+  // is loss-free: E003 guarantees every node has a representable shape,
+  // and E004/E005 guarantee every bound pair is a constructible
+  // Interval.  Only a unary node keeps its exponent, as the recording
+  // API does.
+  const size_t N = Raw.Nodes.size();
+  std::vector<Interval> Values;
+  std::vector<TapeOp> Ops;
+  std::vector<TapeEdges> Edges;
+  Values.reserve(N);
+  Ops.reserve(N);
+  Edges.reserve(N);
+  for (const verify::RawNode &Node : Raw.Nodes) {
+    Values.emplace_back(Node.ValueLo, Node.ValueHi);
+    Ops.push_back(
+        TapeOp{Node.Kind, opArity(Node.Kind) == 1 ? Node.AuxInt : 0});
+    TapeEdges E;
+    E.NumArgs = Node.NumArgs;
+    for (unsigned A = 0; A != Node.NumArgs; ++A) {
+      E.Args[A] = Node.Args[A];
+      E.Partials[A] = Interval(Node.PartialLo[A], Node.PartialHi[A]);
     }
+    Edges.push_back(E);
   }
-  // The tape derives its input list from the recorded Input nodes; the
-  // INPT section must agree or the file's registration is lying about
-  // the node stream.
-  if (Loaded.T.inputs() != Raw.Inputs)
-    return stapError("INPT section does not match the recorded input nodes");
-  for (const std::string &D : Divergences)
-    Loaded.T.noteDivergence(D);
-  Loaded.Reg.Outputs = Raw.Outputs;
+  // Tape::adopt also requires the INPT list to be exactly the Input
+  // nodes, or the file's registration is lying about the node stream.
+  Expected<Tape> T =
+      Tape::adopt(std::move(Values), std::move(Ops), std::move(Edges),
+                  std::move(Raw.Inputs), std::move(Divergences));
+  if (!T)
+    return stapError(T.status().message());
+  Loaded.T = std::move(T.value());
+  Loaded.Reg.Outputs = std::move(Raw.Outputs);
   return Expected<LoadedTape>(std::move(Loaded));
 }
 
+Expected<LoadedTape> scorpio::readStap(std::istream &IS) {
+  std::string File;
+  char Chunk[4096];
+  while (IS.read(Chunk, sizeof(Chunk)) || IS.gcount() > 0)
+    File.append(Chunk, static_cast<size_t>(IS.gcount()));
+  return readStap(std::string_view(File));
+}
+
 Expected<LoadedTape> scorpio::loadStap(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return stapError("cannot open '" + Path + "' for reading");
-  return readStap(IS);
+  std::string File;
+  if (Status S = readRegularFile(Path, File); !S)
+    return stapError(S.message());
+  return readStap(std::string_view(File));
 }

@@ -59,13 +59,15 @@
 /// compression flags is rejected, never mis-decoded.
 ///
 /// The loader is a trust boundary: a `.stap` file may come from another
-/// process, an older build, or an attacker, so every read is
-/// bounds-checked against the section table, decompression output is
-/// capped by the codec's worst-case expansion before any allocation,
-/// the checksum is validated, and the decoded node stream must pass
-/// `verify::verifyStructure` before a Tape is constructed from it.  A
-/// file that fails any gate is rejected with a structured `Status` —
-/// never undefined behavior, and never a "repaired" tape.
+/// process, an older build, or an attacker, so a path is read only if
+/// it names a regular file, every read is bounds-checked against the
+/// section table, decompression output is capped by the codec's
+/// worst-case expansion before any allocation, the checksum is
+/// validated, and the decoded node stream must pass
+/// `verify::verifyStructure` before a Tape is adopted from it (and
+/// Tape::adopt re-checks the edge invariant on its own).  A file that
+/// fails any gate is rejected with a structured `Status` — never
+/// undefined behavior, and never a "repaired" tape.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +83,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -101,6 +104,8 @@ inline constexpr uint32_t StapSectionFlagMask =
 /// strides, the NodeId width and the op-kind count.  Two builds with
 /// different op sets (or a future node layout change) produce different
 /// hashes, so a merge refuses their shards instead of mis-decoding them.
+/// Computed once per process; every later call returns the cached
+/// value.
 uint64_t stapSchemaHash();
 
 /// Shard identity and recording context carried by a v2 META section.
@@ -202,13 +207,28 @@ struct LoadedTape {
   uint32_t Version = 0;
 };
 
-/// Parses, validates and verifies a .stap stream.  Returns the loaded
-/// tape, or the Status naming the first gate the file failed (malformed
-/// header, out-of-bounds section, checksum mismatch, codec violation,
-/// schema mismatch, or a verify::verifyStructure structural error).
+/// Parses, validates and verifies the .stap file held in \p Bytes: the
+/// core decoder every other entry point forwards to.  Returns the
+/// loaded tape, or the Status naming the first gate the file failed
+/// (malformed header, out-of-bounds section, checksum mismatch, codec
+/// violation, a verify::verifyStructure structural error, or schema
+/// mismatch).
+///
+/// One decode pass: sections are indexed in a fixed per-tag array of
+/// views into \p Bytes, uncompressed payloads are parsed in place, RLE
+/// payloads decode into one reused scratch buffer, and the varint codecs
+/// write straight into the verify::RawTape the gate checks.  The gated
+/// nodes then become the Tape through Tape::adopt, which re-checks the
+/// edge invariant; nothing is re-recorded.
+diag::Expected<LoadedTape> readStap(std::string_view Bytes);
+
+/// Reads \p IS to its end once and decodes the bytes as above.
 diag::Expected<LoadedTape> readStap(std::istream &IS);
 
-/// Loads the .stap file at \p Path.
+/// Loads the .stap file at \p Path: one whole-file read
+/// (readRegularFile, support/FileIO.h), then readStap.  A path that
+/// names no regular file (a FIFO, a directory) is an error naming the
+/// path, never a blocking open.
 diag::Expected<LoadedTape> loadStap(const std::string &Path);
 
 } // namespace scorpio

@@ -23,16 +23,23 @@
 #include "quality/Metrics.h"
 #include "runtime/RatioController.h"
 #include "runtime/TaskRuntime.h"
+#include "service/ResultCache.h"
 #include "support/Diag.h"
 #include "tape/Tape.h"
+#include "tape/TapeIO.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
 
 using namespace scorpio;
 using namespace scorpio::diag;
@@ -564,6 +571,61 @@ TEST_F(InvalidInputTest, SuggestTasksOnDivergedResultRecoversEmpty) {
   const auto Tasks = suggestTasks(A.graph(R), R);
   EXPECT_TRUE(Tasks.empty());
   EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidState), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Untrusted paths: a FIFO or a directory where a file is expected
+//===----------------------------------------------------------------------===//
+
+/// A scratch directory (one per test: ctest runs tests in parallel)
+/// holding a FIFO and a subdirectory, removed on destruction.  Opening
+/// the FIFO for reading blocks until a writer comes, so every reader
+/// below must refuse it without a blocking open.
+struct NonRegularFiles {
+  std::string Dir;
+  std::string Fifo = Dir + "/fifo";
+  std::string Subdir = Dir + "/subdir";
+
+  explicit NonRegularFiles(const std::string &Name)
+      : Dir(::testing::TempDir() + "/" + Name) {
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Subdir);
+    EXPECT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << std::strerror(errno);
+  }
+  ~NonRegularFiles() { std::filesystem::remove_all(Dir); }
+};
+
+TEST_F(InvalidInputTest, LoadStapOfANonRegularFileNamesThePath) {
+  NonRegularFiles Files("scorpio_invalid_nonregular_stap");
+  for (const std::string &Path : {Files.Fifo, Files.Subdir}) {
+    const Expected<LoadedTape> Loaded = loadStap(Path);
+    ASSERT_FALSE(Loaded.hasValue()) << Path;
+    EXPECT_NE(Loaded.status().message().find(Path), std::string::npos)
+        << Loaded.status().message();
+    EXPECT_NE(Loaded.status().message().find("not a regular file"),
+              std::string::npos)
+        << Loaded.status().message();
+  }
+}
+
+TEST_F(InvalidInputTest, CacheEntryThatIsNotARegularFileIsAPlainMiss) {
+  NonRegularFiles Files("scorpio_invalid_nonregular_cache");
+  // Plant the FIFO and the subdirectory under the names of two keys.
+  const uint64_t FifoKey = 0x5eed, DirKey = 0xd1d;
+  std::filesystem::rename(Files.Fifo, Files.Dir + "/" +
+                                          service::ResultCache::entryFileName(
+                                              FifoKey));
+  std::filesystem::rename(Files.Subdir,
+                          Files.Dir + "/" +
+                              service::ResultCache::entryFileName(DirKey));
+  for (const bool Writable : {false, true}) {
+    service::ResultCache Cache(Files.Dir, Writable);
+    ShardResult Out;
+    EXPECT_FALSE(Cache.lookup(FifoKey, Out));
+    EXPECT_FALSE(Cache.lookup(DirKey, Out));
+    EXPECT_EQ(Cache.stats().Misses, 2u);
+    EXPECT_EQ(Cache.stats().CorruptEntries, 0u);
+  }
 }
 
 } // namespace

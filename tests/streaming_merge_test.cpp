@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +31,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 using namespace scorpio;
 
@@ -998,6 +1001,74 @@ TEST_F(StreamingMergeTest, ListStapShardsFiltersAndSorts) {
   ASSERT_FALSE(Missing.hasValue());
   EXPECT_NE(Missing.status().message().find("no-such-dir"),
             std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Non-regular files: FIFOs and directories where a file is expected
+//===----------------------------------------------------------------------===//
+
+TEST_F(StreamingMergeTest, NonRegularCacheEntryIsAPlainMiss) {
+  TempDir Shards("scorpio_cache_fifo_shards");
+  TempDir Cache("scorpio_cache_fifo_dir");
+  const std::string InProcess = recordRegistryShards(Shards.Path);
+  const std::vector<std::string> Paths =
+      listStapShards(Shards.Path).valueOr({});
+  ASSERT_GE(Paths.size(), 2u);
+  const auto EntryPath = [&](const std::string &Shard) {
+    diag::Expected<LoadedTape> L = loadStap(Shard);
+    EXPECT_TRUE(L.hasValue()) << L.status().message();
+    return Cache.Path + "/" +
+           service::ResultCache::entryFileName(shardCacheKey(L.value(), {}));
+  };
+  // A FIFO and a directory stand where the first two shards' entries
+  // would be.  A blocking open of the FIFO would wait for a writer that
+  // never comes.
+  const std::string Fifo = EntryPath(Paths[0]);
+  const std::string Dir = EntryPath(Paths[1]);
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << std::strerror(errno);
+  ASSERT_TRUE(std::filesystem::create_directory(Dir));
+
+  service::ResultCache RC(Cache.Path, /*Writable=*/false);
+  StreamingMergeOptions Options;
+  Options.Cache = CacheMode::ReadOnly;
+  Options.ResultCache = &RC;
+  StreamingMergeStats Stats;
+  EXPECT_EQ(InProcess, streamJson(Paths, Options, &Stats));
+  EXPECT_EQ(Stats.CacheHits, 0u);
+  EXPECT_EQ(Stats.CacheMisses, Paths.size());
+  EXPECT_EQ(RC.stats().Misses, Paths.size());
+  EXPECT_EQ(RC.stats().CorruptEntries, 0u);
+  EXPECT_TRUE(std::filesystem::is_fifo(Fifo));
+  EXPECT_TRUE(std::filesystem::is_directory(Dir));
+}
+
+TEST_F(StreamingMergeTest, NonRegularShardIsAnErrorNamingThePath) {
+  TempDir Dir("scorpio_stream_fifo_shard");
+  recordRegistryShards(Dir.Path);
+  const std::vector<std::string> Paths = listStapShards(Dir.Path).valueOr({});
+  ASSERT_GE(Paths.size(), 2u);
+  const std::string Fifo = Dir.Path + "/shard_fifo.stap";
+  const std::string Subdir = Dir.Path + "/shard_dir.stap";
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << std::strerror(errno);
+  ASSERT_TRUE(std::filesystem::create_directory(Subdir));
+  // The directory scan lists regular files only, but an explicit path
+  // list can name anything, first or mid-stream.
+  EXPECT_EQ(listStapShards(Dir.Path).valueOr({}), Paths);
+  for (const std::string &Bad : {Fifo, Subdir}) {
+    diag::Expected<LoadedTape> L = loadStap(Bad);
+    ASSERT_FALSE(L.hasValue()) << Bad;
+    EXPECT_NE(L.status().message().find(Bad), std::string::npos)
+        << L.status().message();
+    for (const size_t At : {size_t{0}, Paths.size() / 2}) {
+      std::vector<std::string> WithBad = Paths;
+      WithBad.insert(WithBad.begin() + static_cast<ptrdiff_t>(At), Bad);
+      diag::Expected<ParallelAnalysisResult> R =
+          ParallelAnalysis::mergeStapStreaming(WithBad);
+      ASSERT_FALSE(R.hasValue()) << Bad << " at " << At;
+      EXPECT_NE(R.status().message().find(Bad), std::string::npos)
+          << R.status().message();
+    }
+  }
 }
 
 } // namespace

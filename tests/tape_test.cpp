@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace scorpio;
 
 namespace {
@@ -312,6 +315,95 @@ TEST(Tape, BatchSweepEmptySeeds) {
   F.T.reverseSweepBatch(std::span<const NodeId>(), Batch);
   EXPECT_EQ(Batch.width(), 0u);
   EXPECT_EQ(Batch.numNodes(), F.T.size());
+}
+
+/// The arrays of \p T, copied out through the public views.
+struct TapeArrays {
+  std::vector<Interval> Values;
+  std::vector<TapeOp> Ops;
+  std::vector<TapeEdges> Edges;
+  std::vector<NodeId> Inputs;
+
+  explicit TapeArrays(const Tape &T)
+      : Values(T.values().begin(), T.values().end()),
+        Ops(T.ops().begin(), T.ops().end()),
+        Edges(T.edges().begin(), T.edges().end()), Inputs(T.inputs()) {}
+
+  diag::Expected<Tape> adopt() const {
+    return Tape::adopt(Values, Ops, Edges, Inputs, {"note"});
+  }
+};
+
+TEST(Tape, AdoptReproducesTheRecordedTape) {
+  MultiOutTape F;
+  diag::Expected<Tape> Adopted = TapeArrays(F.T).adopt();
+  ASSERT_TRUE(Adopted.hasValue()) << Adopted.status().message();
+  Tape &T = Adopted.value();
+  ASSERT_EQ(T.size(), F.T.size());
+  EXPECT_EQ(T.inputs(), F.T.inputs());
+  EXPECT_EQ(T.divergences(), std::vector<std::string>{"note"});
+  for (NodeId Id = 0; Id != static_cast<NodeId>(T.size()); ++Id) {
+    EXPECT_EQ(T.kind(Id), F.T.kind(Id));
+    EXPECT_EQ(T.value(Id), F.T.value(Id));
+    EXPECT_EQ(T.adjoint(Id), Interval(0.0));
+    ASSERT_EQ(T.numArgs(Id), F.T.numArgs(Id));
+    for (unsigned A = 0; A != T.numArgs(Id); ++A) {
+      EXPECT_EQ(T.arg(Id, A), F.T.arg(Id, A));
+      EXPECT_EQ(T.partial(Id, A), F.T.partial(Id, A));
+    }
+  }
+  // The adopted tape sweeps exactly like the recorded one.
+  F.T.clearAdjoints();
+  F.T.seedAdjoint(F.Q, Interval(1.0));
+  F.T.reverseSweep();
+  T.seedAdjoint(F.Q, Interval(1.0));
+  T.reverseSweep();
+  for (NodeId Id = 0; Id != static_cast<NodeId>(T.size()); ++Id)
+    EXPECT_EQ(T.adjoint(Id), F.T.adjoint(Id)) << "node " << Id;
+}
+
+TEST(Tape, AdoptRefusesBrokenNodeStreams) {
+  MultiOutTape F;
+  const TapeArrays Good(F.T);
+  const auto Refused = [](const TapeArrays &A, const char *Why) {
+    diag::Expected<Tape> T = A.adopt();
+    ASSERT_FALSE(T.hasValue()) << "adopted a stream with " << Why;
+    EXPECT_NE(T.status().message().find("Tape::adopt"), std::string::npos)
+        << T.status().message();
+  };
+  {
+    TapeArrays A = Good; // an argument that is not an earlier node
+    A.Edges[F.Q].Args[0] = F.Q;
+    Refused(A, "a self-reference");
+    A.Edges[F.Q].Args[0] = static_cast<NodeId>(F.T.size());
+    Refused(A, "a forward reference");
+    A.Edges[F.Q].Args[0] = -7;
+    Refused(A, "a negative argument id");
+  }
+  {
+    TapeArrays A = Good;
+    A.Edges[F.Q].NumArgs = 3;
+    Refused(A, "three arguments");
+  }
+  {
+    TapeArrays A = Good;
+    A.Ops[F.S].Kind = static_cast<OpKind>(NumOpKinds);
+    Refused(A, "an unknown op kind");
+  }
+  {
+    TapeArrays A = Good;
+    A.Ops.pop_back();
+    Refused(A, "arrays of different lengths");
+  }
+  {
+    TapeArrays A = Good; // the input list must be the Input nodes
+    A.Inputs.pop_back();
+    Refused(A, "an input missing from the list");
+    A.Inputs = {F.B, F.A};
+    Refused(A, "inputs out of id order");
+    A.Inputs = {F.A, F.B, F.S};
+    Refused(A, "a non-Input node listed as an input");
+  }
 }
 
 } // namespace

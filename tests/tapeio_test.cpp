@@ -11,6 +11,8 @@
 #include "tape/TapeIO.h"
 
 #include "core/Analysis.h"
+#include "core/ParallelAnalysis.h"
+#include "kernels/KernelRegistry.h"
 #include "support/Diag.h"
 #include "verify/TapeVerifier.h"
 
@@ -22,9 +24,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace scorpio;
@@ -938,5 +943,301 @@ TEST_F(TapeIOTest, GoldenByteSwappedFixtureStaysLoadable) {
   EXPECT_EQ(Original.str(), Replayed.str());
 }
 #endif // SCORPIO_GOLDEN_DIR
+
+//===----------------------------------------------------------------------===//
+// The decoder against the recorder: bitwise differential and hostile
+// bytes behind a valid checksum
+//===----------------------------------------------------------------------===//
+
+/// One registry kernel recorded on its default box, with per-node
+/// significances, a divergence note and shard META: every section the
+/// writer can emit.
+struct KernelShard {
+  Analysis A;
+  std::vector<double> Sig;
+  TapeMeta Meta;
+
+  KernelShard(const KernelDescriptor &K, size_t Index) {
+    K.Analyse(A, K.DefaultRanges);
+    const AnalysisResult R = A.analyse();
+    for (size_t I = 0; I != A.tape().size(); ++I)
+      Sig.push_back(R.significanceOf(static_cast<NodeId>(I)));
+    A.tape().noteDivergence(K.Name + ": differential probe");
+    Meta = makeShardMeta(K.Name, Index, AnalysisOptions());
+  }
+
+  /// The shard's bytes; META rides along where the version has it.
+  std::string bytes(const StapWriteOptions &Opts) {
+    std::ostringstream OS(std::ios::binary);
+    const diag::Status S =
+        writeStap(OS, A.tape(), A.registration(), Sig, Opts,
+                  Opts.Version >= 2 ? &Meta : nullptr);
+    EXPECT_TRUE(S.isOk()) << S.message();
+    return OS.str();
+  }
+};
+
+/// Every writer configuration: v2 raw, v2 compressed, v1.
+std::vector<StapWriteOptions> writerConfigs() {
+  StapWriteOptions Raw, Compressed, V1;
+  Compressed.Compress = true;
+  V1.Version = 1;
+  return {Raw, Compressed, V1};
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Asserts that \p Got carries exactly \p Want's tape, registration,
+/// significances and META, every double compared bit for bit.
+void expectSameLoad(const LoadedTape &Got, const Tape &Want,
+                    const TapeRegistration &WantReg,
+                    const std::vector<double> &WantSig,
+                    const TapeMeta *WantMeta, const std::string &What) {
+  const Tape &T = Got.T;
+  ASSERT_EQ(T.size(), Want.size()) << What;
+  for (NodeId Id = 0; Id != static_cast<NodeId>(T.size()); ++Id) {
+    SCOPED_TRACE(What + ", node " + std::to_string(Id));
+    EXPECT_EQ(T.kind(Id), Want.kind(Id));
+    EXPECT_EQ(T.auxInt(Id), Want.auxInt(Id));
+    EXPECT_TRUE(sameBits(T.value(Id).lower(), Want.value(Id).lower()));
+    EXPECT_TRUE(sameBits(T.value(Id).upper(), Want.value(Id).upper()));
+    EXPECT_TRUE(T.adjoint(Id) == Interval(0.0));
+    ASSERT_EQ(T.numArgs(Id), Want.numArgs(Id));
+    for (unsigned A = 0; A != T.numArgs(Id); ++A) {
+      EXPECT_EQ(T.arg(Id, A), Want.arg(Id, A));
+      EXPECT_TRUE(
+          sameBits(T.partial(Id, A).lower(), Want.partial(Id, A).lower()));
+      EXPECT_TRUE(
+          sameBits(T.partial(Id, A).upper(), Want.partial(Id, A).upper()));
+    }
+  }
+  EXPECT_EQ(T.inputs(), Want.inputs()) << What;
+  EXPECT_EQ(T.divergences(), Want.divergences()) << What;
+  EXPECT_EQ(Got.Reg.Outputs, WantReg.Outputs) << What;
+  EXPECT_EQ(Got.Reg.Labels, WantReg.Labels) << What;
+  EXPECT_EQ(Got.Reg.InputVars, WantReg.InputVars) << What;
+  EXPECT_EQ(Got.Reg.IntermediateVars, WantReg.IntermediateVars) << What;
+  EXPECT_EQ(Got.Reg.OutputVars, WantReg.OutputVars) << What;
+  ASSERT_EQ(Got.Significance.size(), WantSig.size()) << What;
+  for (size_t I = 0; I != WantSig.size(); ++I)
+    EXPECT_TRUE(sameBits(Got.Significance[I], WantSig[I]))
+        << What << ", significance " << I;
+  ASSERT_EQ(Got.Meta.has_value(), WantMeta != nullptr) << What;
+  if (!WantMeta)
+    return;
+  const TapeMeta &M = *Got.Meta;
+  EXPECT_EQ(M.SchemaHash, stapSchemaHash()) << What;
+  EXPECT_EQ(M.ShardIndex, WantMeta->ShardIndex) << What;
+  EXPECT_EQ(M.ShardName, WantMeta->ShardName) << What;
+  EXPECT_EQ(M.HasOptions, WantMeta->HasOptions) << What;
+  EXPECT_EQ(M.OutputMode, WantMeta->OutputMode) << What;
+  EXPECT_EQ(M.Metric, WantMeta->Metric) << What;
+  EXPECT_EQ(M.BatchWidth, WantMeta->BatchWidth) << What;
+  EXPECT_EQ(M.Simplify, WantMeta->Simplify) << What;
+  EXPECT_EQ(M.BuildGraph, WantMeta->BuildGraph) << What;
+  EXPECT_EQ(M.VerifyTape, WantMeta->VerifyTape) << What;
+  EXPECT_TRUE(sameBits(M.Delta, WantMeta->Delta)) << What;
+  EXPECT_TRUE(sameBits(M.SignificanceCap, WantMeta->SignificanceCap))
+      << What;
+}
+
+TEST_F(TapeIOTest, EveryKernelLoadsBitIdenticallyUnderEveryWriter) {
+  const KernelRegistry &Registry = KernelRegistry::global();
+  size_t Index = 0;
+  for (const std::string &Name : Registry.names()) {
+    KernelShard Shard(*Registry.find(Name), Index++);
+    for (const StapWriteOptions &Opts : writerConfigs()) {
+      const std::string What = Name + " (v" + std::to_string(Opts.Version) +
+                               (Opts.Compress ? ", compressed)" : ")");
+      const std::string Bytes = Shard.bytes(Opts);
+      diag::Expected<LoadedTape> Loaded = readStap(std::string_view(Bytes));
+      ASSERT_TRUE(Loaded.hasValue())
+          << What << ": " << Loaded.status().message();
+      EXPECT_EQ(Loaded.value().Version, Opts.Version) << What;
+      expectSameLoad(Loaded.value(), Shard.A.tape(), Shard.A.registration(),
+                     Shard.Sig, Opts.Version >= 2 ? &Shard.Meta : nullptr,
+                     What);
+    }
+  }
+}
+
+#ifdef SCORPIO_GOLDEN_DIR
+TEST_F(TapeIOTest, GoldenFixturesLoadBitIdentically) {
+  Recorded Fix;
+  std::vector<double> Sig;
+  for (size_t I = 0; I != Fix.A.tape().size(); ++I)
+    Sig.push_back(Fix.R.significanceOf(static_cast<NodeId>(I)));
+  TapeMeta BeMeta; // as GoldenByteSwappedFixtureStaysLoadable writes it
+  BeMeta.ShardName = "golden-be";
+  BeMeta.ShardIndex = 1;
+  const std::string Dir = SCORPIO_GOLDEN_DIR;
+  diag::Expected<LoadedTape> V1 = loadStap(Dir + "/tape_v1.stap");
+  ASSERT_TRUE(V1.hasValue()) << V1.status().message();
+  expectSameLoad(V1.value(), Fix.A.tape(), Fix.A.registration(), Sig, nullptr,
+                 "tape_v1.stap");
+  diag::Expected<LoadedTape> Be = loadStap(Dir + "/tape_be.stap");
+  ASSERT_TRUE(Be.hasValue()) << Be.status().message();
+  expectSameLoad(Be.value(), Fix.A.tape(), Fix.A.registration(), Sig,
+                 &BeMeta, "tape_be.stap");
+}
+#endif // SCORPIO_GOLDEN_DIR
+
+/// Little-endian field access for the structure-aware mutations below.
+uint64_t getLe(const std::string &B, size_t Pos, size_t N) {
+  uint64_t V = 0;
+  for (size_t I = 0; I != N; ++I)
+    V |= static_cast<uint64_t>(static_cast<uint8_t>(B[Pos + I])) << (8 * I);
+  return V;
+}
+void putLe(std::string &B, size_t Pos, uint64_t V, size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    B[Pos + I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+}
+
+/// Grows (with random bytes) or shrinks the payload of the section at
+/// table entry \p Entry by |Delta| bytes at its end, and shifts every
+/// later section's offset to match, so the layout check still passes.
+void resizeSection(std::string &B, size_t Entry, int64_t Delta,
+                   std::mt19937_64 &Rng) {
+  const size_t PayloadsAt = 32 + static_cast<size_t>(getLe(B, 16, 8)) * 24;
+  const uint64_t Size = getLe(B, Entry + 16, 8);
+  if (Delta < 0 && static_cast<uint64_t>(-Delta) > Size)
+    return;
+  const size_t End = static_cast<size_t>(getLe(B, Entry + 8, 8) + Size);
+  if (Delta < 0) {
+    B.erase(End - static_cast<size_t>(-Delta), static_cast<size_t>(-Delta));
+  } else {
+    std::string Extra(static_cast<size_t>(Delta), '\0');
+    for (char &C : Extra)
+      C = static_cast<char>(Rng() & 0xFF);
+    B.insert(End, Extra);
+  }
+  putLe(B, Entry + 16, Size + static_cast<uint64_t>(Delta), 8);
+  for (size_t Later = Entry + 24; Later < PayloadsAt; Later += 24)
+    putLe(B, Later + 8, getLe(B, Later + 8, 8) + static_cast<uint64_t>(Delta),
+          8);
+}
+
+/// Applies one seeded, structure-aware mutation to a canonical .stap
+/// byte string: a payload byte flip, a consistent section resize, a
+/// size, offset, flags, node-count or section-count edit, an INPT list
+/// that no longer names the Input nodes (an id dropped, or two
+/// swapped), or a truncation.  The v2 checksum is re-stamped
+/// afterwards, so the mutation reaches the gates behind it.
+void mutate(std::string &B, std::mt19937_64 &Rng) {
+  const auto Pick = [&](uint64_t N) { return N == 0 ? 0 : Rng() % N; };
+  const uint64_t NumSections = getLe(B, 16, 8);
+  const size_t PayloadsAt = 32 + static_cast<size_t>(NumSections) * 24;
+  const size_t Entry = 32 + static_cast<size_t>(Pick(NumSections)) * 24;
+  const int64_t Delta = static_cast<int64_t>(Pick(19)) - 9;
+  switch (Pick(9)) {
+  case 0: // payload byte flip
+    if (B.size() > PayloadsAt) {
+      const size_t Pos = PayloadsAt + Pick(B.size() - PayloadsAt);
+      B[Pos] = static_cast<char>(B[Pos] ^ (1 + Pick(255)));
+    }
+    break;
+  case 1: // consistent resize of one section
+    resizeSection(B, Entry, Delta, Rng);
+    break;
+  case 2: // size edit alone
+    putLe(B, Entry + 16, getLe(B, Entry + 16, 8) + static_cast<uint64_t>(Delta),
+          8);
+    break;
+  case 3: // offset edit
+    putLe(B, Entry + 8, getLe(B, Entry + 8, 8) + static_cast<uint64_t>(Delta),
+          8);
+    break;
+  case 4: // codec flags: a raw payload read as RLE/varint and back
+    putLe(B, Entry + 4, Pick(4), 4);
+    break;
+  case 5: { // node count
+    const uint64_t N = getLe(B, 8, 8);
+    const uint64_t Choices[] = {N + static_cast<uint64_t>(Delta), 0, 2 * N,
+                                Rng() & 0xFFFFFFFFu, uint64_t{1} << 32};
+    putLe(B, 8, Choices[Pick(std::size(Choices))], 8);
+    break;
+  }
+  case 6: // section count
+    putLe(B, 16, NumSections + static_cast<uint64_t>(Delta), 8);
+    break;
+  case 7: // an INPT list of Input nodes that is not the tape's own
+    for (size_t E = 32; E < PayloadsAt; E += 24) {
+      if (B.compare(E, 4, "INPT") != 0 || getLe(B, E + 4, 4) != 0)
+        continue;
+      const size_t At = static_cast<size_t>(getLe(B, E + 8, 8));
+      const uint64_t Count = getLe(B, At, 8);
+      if (Count >= 2 && Pick(2)) {
+        std::swap_ranges(B.begin() + static_cast<ptrdiff_t>(At + 8),
+                         B.begin() + static_cast<ptrdiff_t>(At + 12),
+                         B.begin() + static_cast<ptrdiff_t>(At + 12));
+      } else if (Count >= 1) {
+        putLe(B, At, Count - 1, 8);
+        resizeSection(B, E, -4, Rng);
+      }
+    }
+    break;
+  default: // truncation
+    B.resize(static_cast<size_t>(Pick(B.size())));
+    break;
+  }
+  if (B.size() >= 32)
+    refreshChecksum(B);
+}
+
+TEST_F(TapeIOTest, SeededMutationsBehindTheChecksumNeverYieldABadTape) {
+  constexpr int MutationsPerFile = 400;
+  std::mt19937_64 Rng(0x57A9F00Du);
+  size_t Loads = 0, Accepted = 0, GateRejected = 0;
+  const KernelRegistry &Registry = KernelRegistry::global();
+  size_t Index = 0;
+  for (const std::string &Name : Registry.names()) {
+    KernelShard Shard(*Registry.find(Name), Index++);
+    for (const bool Compress : {false, true}) {
+      StapWriteOptions Opts;
+      Opts.Compress = Compress;
+      const std::string Clean = Shard.bytes(Opts);
+      for (int M = 0; M != MutationsPerFile; ++M) {
+        std::string Bytes = Clean;
+        mutate(Bytes, Rng);
+        diag::Expected<LoadedTape> Loaded =
+            readStap(std::string_view(Bytes));
+        ++Loads;
+        if (!Loaded.hasValue()) {
+          EXPECT_FALSE(Loaded.status().message().empty());
+          GateRejected +=
+              Loaded.status().message().find("verifyStructure") !=
+              std::string::npos;
+          continue;
+        }
+        // Accepted: the tape must be well formed, and its input list
+        // exactly its Input nodes.
+        ++Accepted;
+        const Tape &T = Loaded.value().T;
+        const verify::VerifyReport Report = verify::verifyStructure(
+            verify::extractRaw(T, Loaded.value().Reg.Outputs));
+        EXPECT_FALSE(Report.hasErrors())
+            << Name << (Compress ? " (compressed)" : "") << ", mutation "
+            << M;
+        std::vector<NodeId> InputNodes;
+        for (NodeId Id = 0; Id != static_cast<NodeId>(T.size()); ++Id)
+          if (T.kind(Id) == OpKind::Input)
+            InputNodes.push_back(Id);
+        EXPECT_EQ(T.inputs(), InputNodes)
+            << Name << (Compress ? " (compressed)" : "") << ", mutation "
+            << M;
+      }
+    }
+  }
+  std::cout << Loads << " mutated loads: " << Accepted << " accepted, "
+            << GateRejected << " refused by the structural gate\n";
+  // The mutations must reach past the checksum: some files load, and
+  // some are refused only by the structural gate.
+  EXPECT_EQ(Loads, Registry.size() * 2 * MutationsPerFile);
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(GateRejected, 0u);
+}
 
 } // namespace

@@ -4,7 +4,11 @@
 # shard directory.  The two reports must be byte-identical.
 #
 #   cmake -DSHARDD=<scorpio_shardd> -DMERGE=<scorpio_merge>
-#         -DWORK_DIR=<scratch dir> -P shard_roundtrip.cmake
+#         -DWORK_DIR=<scratch dir> [-DSHARDD_ARGS=<arg;...>]
+#         -P shard_roundtrip.cmake
+#
+# SHARDD_ARGS, a CMake list, is passed to scorpio_shardd after its
+# output options (e.g. --no-compress, to write every section raw).
 foreach(Var SHARDD MERGE WORK_DIR)
   if(NOT DEFINED ${Var})
     message(FATAL_ERROR "shard_roundtrip: -D${Var}=... is required")
@@ -16,7 +20,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}/shards")
 
 execute_process(
   COMMAND "${SHARDD}" --out "${WORK_DIR}/shards"
-          --inprocess "${WORK_DIR}/inproc.json"
+          --inprocess "${WORK_DIR}/inproc.json" ${SHARDD_ARGS}
   RESULT_VARIABLE Rc OUTPUT_QUIET)
 if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "scorpio_shardd exited with ${Rc}")
