@@ -249,14 +249,8 @@ SobelBlockSignificance scorpio::apps::analyseSobelBlocks(const Image &In,
   return Sig;
 }
 
-namespace {
-
-/// Records every pixel of the tile [X0, X1) x [Y0, Y1) into the current
-/// thread's Analysis as one DynDFG: one input per (clamped) neighborhood
-/// grid position, per-pixel block intermediates Ax/Ay/Bx/Cy_<lx>_<ly>
-/// and per-pixel outputs gx/gy_<lx>_<ly> (local tile coordinates).
-void recordSobelTile(const Image &In, int X0, int Y0, int X1, int Y1,
-                     double HalfWidth) {
+void scorpio::apps::recordSobelTile(const Image &In, int X0, int Y0, int X1,
+                                    int Y1, double HalfWidth) {
   Analysis &A = Analysis::current();
   const int GW = X1 - X0 + 2, GH = Y1 - Y0 + 2;
   std::vector<IAValue> Grid(static_cast<size_t>(GW) * GH);
@@ -293,8 +287,6 @@ void recordSobelTile(const Image &In, int X0, int Y0, int X1, int Y1,
       A.registerOutput(Gy, "gy" + Suffix);
     }
 }
-
-} // namespace
 
 SobelTileSignificance scorpio::apps::analyseSobelTiles(
     const Image &In, int TileSize, double HalfWidth, unsigned NumThreads,

@@ -63,6 +63,15 @@ struct SobelBlockSignificance {
 SobelBlockSignificance analyseSobelBlocks(const Image &In, int X, int Y,
                                           double HalfWidth = 8.0);
 
+/// Records every pixel of the tile [X0, X1) x [Y0, Y1) of \p In into the
+/// calling thread's current Analysis as one DynDFG: one input per
+/// (clamped) neighborhood grid position in [p - HalfWidth,
+/// p + HalfWidth], per-pixel block intermediates Ax/Ay/Bx/Cy_<lx>_<ly>
+/// and per-pixel outputs gx/gy_<lx>_<ly> (local tile coordinates).
+/// This is one shard of analyseSobelTiles.
+void recordSobelTile(const Image &In, int X0, int Y0, int X1, int Y1,
+                     double HalfWidth = 8.0);
+
 /// Whole-image block significances from the sharded tile analysis.
 struct SobelTileSignificance {
   /// Block significances summed over every analysed pixel of every tile;

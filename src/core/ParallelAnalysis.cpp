@@ -34,10 +34,7 @@ verify::VerifyReport verifyShard(Analysis &A, const AnalysisResult &Result,
   TapeOpts.CheckBatchSweep = Mode == ShardVerification::Full;
   TapeOpts.BatchWidth = Options.BatchWidth;
   verify::VerifyReport R =
-      Mode == ShardVerification::Full
-          ? verify::verifyTape(A.tape(), A.outputNodes(), TapeOpts)
-          : verify::verifyStructure(
-                verify::extractRaw(A.tape(), A.outputNodes()), TapeOpts);
+      verify::verifyTape(A.tape(), A.outputNodes(), TapeOpts);
   // Graph auditing re-walks every node several times; it belongs to the
   // Full tier so Incremental stays cheap enough for per-merge use.
   if (Mode == ShardVerification::Full && Options.BuildGraph &&
@@ -420,11 +417,33 @@ scorpio::listStapShards(const std::string &Dir) {
   return Paths;
 }
 
+std::vector<VariableSignificance> ParallelAnalysisResult::variables() const {
+  std::vector<VariableSignificance> Variables;
+  for (const ShardResult &S : Shards)
+    for (const auto *List : {&S.Result.inputs(), &S.Result.intermediates(),
+                             &S.Result.outputs()})
+      for (const VariableSignificance &V : *List) {
+        VariableSignificance P = V;
+        P.Name = S.Name + "/" + V.Name;
+        Variables.push_back(std::move(P));
+      }
+  return Variables;
+}
+
 const VariableSignificance *
-ParallelAnalysisResult::find(const std::string &PrefixedName) const {
-  for (const VariableSignificance &V : Variables)
-    if (V.Name == PrefixedName)
-      return &V;
+ParallelAnalysisResult::find(std::string_view PrefixedName) const {
+  for (const ShardResult &S : Shards) {
+    const size_t Len = S.Name.size();
+    if (PrefixedName.size() <= Len || PrefixedName[Len] != '/' ||
+        PrefixedName.substr(0, Len) != S.Name)
+      continue;
+    const std::string_view Var = PrefixedName.substr(Len + 1);
+    for (const auto *List : {&S.Result.inputs(), &S.Result.intermediates(),
+                             &S.Result.outputs()})
+      for (const VariableSignificance &V : *List)
+        if (V.Name == Var)
+          return &V;
+  }
   return nullptr;
 }
 
@@ -523,13 +542,6 @@ ParallelAnalysis::mergeShards(std::vector<ShardResult> Shards,
   for (const ShardResult &S : R.Shards) {
     for (const std::string &D : S.Result.divergences())
       R.Divergences.push_back(S.Name + ": " + D);
-    for (const auto *List : {&S.Result.inputs(), &S.Result.intermediates(),
-                             &S.Result.outputs()})
-      for (const VariableSignificance &V : *List) {
-        VariableSignificance P = V;
-        P.Name = S.Name + "/" + V.Name;
-        R.Variables.push_back(std::move(P));
-      }
     R.OutputSig += S.Result.outputSignificance();
     if (R.Verified)
       R.Verification.merge(S.Verification, S.Name + ": ");

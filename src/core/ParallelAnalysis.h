@@ -143,14 +143,18 @@ public:
   bool isValid() const { return Divergences.empty(); }
   const std::vector<std::string> &divergences() const { return Divergences; }
 
-  /// All registered variables of all shards concatenated in shard order,
-  /// names prefixed "<shard>/".
-  const std::vector<VariableSignificance> &variables() const {
-    return Variables;
-  }
+  /// All registered variables of all shards concatenated in shard order
+  /// (per shard: inputs, intermediates, outputs), names prefixed
+  /// "<shard>/".  Built on each call from shards(): the merge itself
+  /// copies no variable.
+  std::vector<VariableSignificance> variables() const;
 
-  /// Looks up "<shard>/<variable>"; nullptr when absent.
-  const VariableSignificance *find(const std::string &PrefixedName) const;
+  /// Looks up "<shard>/<variable>": the first shard, in shard order,
+  /// whose "<name>/" prefixes \p PrefixedName and whose lists hold the
+  /// rest — the same entry a scan of variables() finds first.  Returns
+  /// that shard's own entry, whose Name is the unprefixed variable
+  /// name; nullptr when absent.
+  const VariableSignificance *find(std::string_view PrefixedName) const;
 
   /// Sum of the per-shard output significances.
   double outputSignificance() const { return OutputSig; }
@@ -179,7 +183,6 @@ private:
   friend class ParallelAnalysis;
   std::vector<ShardResult> Shards;
   std::vector<std::string> Divergences;
-  std::vector<VariableSignificance> Variables;
   double OutputSig = 0.0;
   verify::VerifyReport Verification;
   bool Verified = false;

@@ -73,10 +73,23 @@ public:
       // output seeds per backward pass, then accumulate lane
       // significances in output order.  Per node the sequence of
       // += / min operations is exactly the scalar loop's, so results
-      // are bit-identical.
+      // are bit-identical; nodes are independent, so the order in which
+      // they are visited does not matter.
       const bool IsEq11 = Options.SignificanceMetric ==
                           AnalysisOptions::Metric::Eq11WorstCase;
       const Interval Zero(0.0);
+      const std::span<const Interval> Values = T.values();
+      // A [0,0] lane adjoint contributes exactly 0 significance (the
+      // interval product with an exact-zero factor is exactly [0,0]),
+      // so a row that is not live contributes nothing and is not
+      // visited — except under WidthTimesDerivative with an unbounded
+      // value, where inf*0 = NaN is capped: there every lane of every
+      // such node is evaluated, live or not.
+      std::vector<NodeId> Unbounded;
+      if (!IsEq11)
+        for (size_t I = 0; I != Values.size(); ++I)
+          if (!Values[I].isBounded())
+            Unbounded.push_back(static_cast<NodeId>(I));
       std::vector<std::pair<NodeId, Interval>> Seeds;
       BatchAdjoints Batch;
       for (size_t Begin = 0; Begin < Outputs.size();
@@ -89,14 +102,10 @@ public:
         T.reverseSweepBatch(Seeds, Batch, Options.Sweep);
 
         const unsigned W = static_cast<unsigned>(End - Begin);
-        for (size_t I = 0; I != T.size(); ++I) {
-          const Interval &V = T.value(static_cast<NodeId>(I));
-          const Interval *Row = Batch.row(static_cast<NodeId>(I));
-          // A [0,0] lane adjoint contributes exactly 0 significance
-          // (the interval product with an exact-zero factor is exactly
-          // [0,0]), except under WidthTimesDerivative with an unbounded
-          // value where inf*0 = NaN is capped — there every lane is
-          // evaluated.
+        const auto Accumulate = [&](NodeId Id) {
+          const size_t I = static_cast<size_t>(Id);
+          const Interval &V = Values[I];
+          const Interval *Row = std::as_const(Batch).row(Id);
           const bool SkipZeroLanes = IsEq11 || V.isBounded();
           for (unsigned L = 0; L != W; ++L) {
             if (SkipZeroLanes && Row[L] == Zero)
@@ -104,7 +113,12 @@ public:
             PerNode[I] += cappedSignificance(V, Row[L], Options);
             PerNode[I] = std::min(PerNode[I], Options.SignificanceCap);
           }
-        }
+        };
+        for (NodeId Id : Batch.live())
+          Accumulate(Id);
+        for (NodeId Id : Unbounded)
+          if (!Batch.isLive(Id))
+            Accumulate(Id);
       }
     }
 
@@ -193,13 +207,15 @@ public:
           Seeds.emplace_back(Outputs[O], Interval(1.0));
         T.reverseSweepBatch(Seeds, Batch, Options.Sweep);
 
+        // A [0,0] lane adjoint contributes exactly 0 error under the
+        // mulBound convention, so skipping it — and every row that is
+        // not live, which is [0,0] throughout — reproduces the scalar
+        // loop bit for bit.
         const unsigned W = static_cast<unsigned>(End - Begin);
-        for (size_t I = 0; I != N; ++I) {
-          const Interval *Row = Batch.row(static_cast<NodeId>(I));
+        for (NodeId Id : Batch.live()) {
+          const size_t I = static_cast<size_t>(Id);
+          const Interval *Row = std::as_const(Batch).row(Id);
           for (unsigned L = 0; L != W; ++L) {
-            // A [0,0] lane adjoint contributes exactly 0 error under
-            // the mulBound convention — skipping it reproduces the
-            // scalar loop bit for bit.
             if (Row[L] == Zero)
               continue;
             PerNode[I] +=

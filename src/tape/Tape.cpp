@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 using namespace scorpio;
 
@@ -236,6 +237,24 @@ void Tape::seedAdjoint(NodeId Id, const Interval &Seed) {
   Adjoints[static_cast<size_t>(Id)] += Seed;
 }
 
+void BatchAdjoints::resize(size_t NumNodes, unsigned Width) {
+  if (NumNodes == Nodes && Width == Lanes) {
+    for (NodeId Id : LiveRows) {
+      simd::zeroFillRun(Data.data() + static_cast<size_t>(Id) * Lanes, Lanes);
+      Live[static_cast<size_t>(Id)] = 0;
+    }
+    LiveRows.clear();
+    return;
+  }
+  Nodes = NumNodes;
+  Lanes = Width;
+  Data.assign(NumNodes * Width, Interval(0.0));
+  Live.assign(NumNodes, 0);
+  LiveRows.clear();
+  assert((Data.empty() || simd::isCacheLineAligned(Data.data())) &&
+         "BatchAdjoints storage must be cache-line-aligned");
+}
+
 namespace {
 /// See Tape::totalReverseSweeps().
 std::atomic<uint64_t> ReverseSweepCounter{0};
@@ -380,6 +399,10 @@ void Tape::reverseSweepBatch(
   // within a node, lane L's contributions to the arguments happen in
   // argument order (which matters when both arguments alias, as in x*x),
   // and contributions to a slot arrive in descending consumer order.
+  // A row that is not live is [0, 0] in every lane, and the scalar
+  // sweep skips a zero adjoint, so skipping the row is exact; every
+  // consumer has a larger id than its arguments, so a row's liveness is
+  // final by the time the pass reaches it.
   const Interval Zero(0.0);
   // With the Auto backend each lane loop runs a vectorized prefix
   // (NativeLanes lanes per step) and finishes with the scalar tail; the
@@ -387,10 +410,12 @@ void Tape::reverseSweepBatch(
   // at lane 0 so only the original scalar code runs.
   const bool UseSimd = Backend == SweepBackend::Auto && simd::NativeLanes > 1;
   for (size_t I = Values.size(); I-- > 0;) {
+    if (!Out.isLive(static_cast<NodeId>(I)))
+      continue;
     const TapeEdges &E = Edges[I];
     if (E.NumArgs == 0)
       continue;
-    const Interval *Row = Out.row(static_cast<NodeId>(I));
+    const Interval *Row = std::as_const(Out).row(static_cast<NodeId>(I));
     // Per argument, the destination row, the partial, and the partial's
     // shape are loop-invariant; classifying them once per node and
     // amortizing over the W lanes is where the batch saves over W
@@ -404,6 +429,7 @@ void Tape::reverseSweepBatch(
       // every lane, and adding [0, 0] is the identity — skip the node.
       if (P == Zero)
         continue;
+      // The one write into an argument row: it makes the row live.
       Interval *const D = Out.row(E.Args[K]);
       if (P.isPoint()) {
         // Point partial (every +/- edge and any differentiation w.r.t.

@@ -138,10 +138,17 @@ enum class SweepBackend : uint8_t {
   Scalar,
 };
 
-/// A dense NumNodes x Width matrix of interval adjoints, striped per node
-/// (the Width lanes of one node are contiguous).  Each lane is one
+/// A NumNodes x Width matrix of interval adjoints, striped per node (the
+/// Width lanes of one node are contiguous).  Each lane is one
 /// independent reverse-sweep seed; Tape::reverseSweepBatch() propagates
 /// all lanes in a single backward pass over the tape.
+///
+/// The matrix tracks which rows are *live*: a row becomes live when it
+/// is handed out for writing (the non-const at()/row(), which is how
+/// the sweep seeds a node and scatters into an argument).  A row that
+/// is not live is exactly [0, 0] in every lane, so a PerOutput sweep
+/// and its accumulation visit only the live rows — the backward cone
+/// of the batch's seeds, not the whole tape.
 ///
 /// Storage starts cache-line-aligned so the vectorized sweep's lane
 /// loads tile cleanly (see simd/AlignedAlloc.h).
@@ -150,30 +157,41 @@ public:
   BatchAdjoints() = default;
   BatchAdjoints(size_t NumNodes, unsigned Width) { resize(NumNodes, Width); }
 
-  /// Resizes to \p NumNodes x \p Width and zeroes every lane.
-  void resize(size_t NumNodes, unsigned Width) {
-    Nodes = NumNodes;
-    Lanes = Width;
-    Data.assign(NumNodes * Width, Interval(0.0));
-    assert((Data.empty() || simd::isCacheLineAligned(Data.data())) &&
-           "BatchAdjoints storage must be cache-line-aligned");
-  }
+  /// Resizes to \p NumNodes x \p Width, every lane [0, 0] and no row
+  /// live.  A resize to the current shape re-zeroes only the live
+  /// rows, so reusing one matrix across equal batches costs the cone,
+  /// not the tape.
+  void resize(size_t NumNodes, unsigned Width);
 
   size_t numNodes() const { return Nodes; }
   unsigned width() const { return Lanes; }
 
-  Interval &at(NodeId Id, unsigned Lane) {
-    assert(Id >= 0 && static_cast<size_t>(Id) < Nodes && Lane < Lanes);
-    return Data[static_cast<size_t>(Id) * Lanes + Lane];
-  }
-  const Interval &at(NodeId Id, unsigned Lane) const {
-    assert(Id >= 0 && static_cast<size_t>(Id) < Nodes && Lane < Lanes);
-    return Data[static_cast<size_t>(Id) * Lanes + Lane];
+  /// The live rows, in the order they became live.
+  std::span<const NodeId> live() const { return LiveRows; }
+  bool isLive(NodeId Id) const {
+    assert(Id >= 0 && static_cast<size_t>(Id) < Nodes);
+    return Live[static_cast<size_t>(Id)] != 0;
   }
 
-  /// The contiguous lane stripe of node \p Id.
+  /// Writable lane of node \p Id; marks the row live.
+  Interval &at(NodeId Id, unsigned Lane) {
+    assert(Lane < Lanes);
+    return row(Id)[Lane];
+  }
+  const Interval &at(NodeId Id, unsigned Lane) const {
+    assert(Lane < Lanes);
+    return row(Id)[Lane];
+  }
+
+  /// The contiguous lane stripe of node \p Id.  The writable form
+  /// marks the row live.
   Interval *row(NodeId Id) {
     assert(Id >= 0 && static_cast<size_t>(Id) < Nodes);
+    uint8_t &Flag = Live[static_cast<size_t>(Id)];
+    if (!Flag) {
+      Flag = 1;
+      LiveRows.push_back(Id);
+    }
     return Data.data() + static_cast<size_t>(Id) * Lanes;
   }
   const Interval *row(NodeId Id) const {
@@ -183,6 +201,9 @@ public:
 
 private:
   std::vector<Interval, simd::AlignedAllocator<Interval>> Data;
+  /// One flag per node, and the flagged ids in the order they were set.
+  std::vector<uint8_t> Live;
+  std::vector<NodeId> LiveRows;
   size_t Nodes = 0;
   unsigned Lanes = 0;
 };
@@ -348,6 +369,11 @@ public:
   /// to clearAdjoints() + seedAdjoint(Seeds[k]...) + reverseSweep(): the
   /// per-lane operation sequence is exactly the single-sweep sequence.
   /// Does not touch the tape's own adjoints.
+  ///
+  /// The pass visits only live rows of \p Out (see BatchAdjoints): the
+  /// seeded nodes, and every argument a live row reaches through a
+  /// non-zero partial.  On return Out.live() is exactly that set, and
+  /// every other row is [0, 0].
   ///
   /// With Backend == Auto the lane loops run simd::NativeLanes-wide
   /// vertical SIMD over the BatchAdjoints rows (scalar tail for the

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 using namespace scorpio;
@@ -240,7 +241,7 @@ VerifyReport verify::lintTape(const Tape &T, const LintContext &Ctx,
       T.reverseSweepBatch(Seeds, Lanes);
       const unsigned W = static_cast<unsigned>(End - Begin);
       for (NodeId In : T.inputs()) {
-        const Interval *Row = Lanes.row(In);
+        const Interval *Row = std::as_const(Lanes).row(In);
         for (unsigned L = 0; L != W; ++L)
           if (!(Row[L] == Zero)) {
             Alive[static_cast<size_t>(In)] = true;

@@ -8,41 +8,38 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 using namespace scorpio;
 using namespace scorpio::verify;
 
-RawTape verify::extractRaw(const Tape &T, std::span<const NodeId> Outputs) {
-  RawTape Raw;
-  Raw.Nodes.resize(T.size());
-  for (size_t I = 0; I != T.size(); ++I) {
-    const NodeId Id = static_cast<NodeId>(I);
-    RawNode &N = Raw.Nodes[I];
-    N.Kind = T.kind(Id);
-    N.AuxInt = T.auxInt(Id);
-    N.ValueLo = T.value(Id).lower();
-    N.ValueHi = T.value(Id).upper();
-    N.NumArgs = static_cast<uint8_t>(T.numArgs(Id));
-    for (unsigned A = 0; A != N.NumArgs && A != 2; ++A) {
-      N.Args[A] = T.arg(Id, A);
-      N.PartialLo[A] = T.partial(Id, A).lower();
-      N.PartialHi[A] = T.partial(Id, A).upper();
-    }
-  }
-  Raw.Inputs = T.inputs();
-  Raw.Outputs.assign(Outputs.begin(), Outputs.end());
-  return Raw;
-}
-
 namespace {
 
-std::string describeNode(const RawTape &Raw, NodeId Id) {
+/// Writes the raw mirror of node \p I of a tape's SoA arrays into \p N,
+/// whose argument slots past the node's arity must hold their defaults.
+/// Reads the arrays directly: the edge invariant (tape/Tape.h) makes
+/// the per-node accessors' id checks redundant here.
+void fillRawNode(RawNode &N, std::span<const TapeOp> Ops,
+                 std::span<const TapeEdges> Edges,
+                 std::span<const Interval> Values, size_t I) {
+  const TapeEdges &E = Edges[I];
+  N.Kind = Ops[I].Kind;
+  N.AuxInt = Ops[I].AuxInt;
+  N.ValueLo = Values[I].lower();
+  N.ValueHi = Values[I].upper();
+  N.NumArgs = E.NumArgs;
+  for (unsigned A = 0; A != N.NumArgs && A != 2; ++A) {
+    N.Args[A] = E.Args[A];
+    N.PartialLo[A] = E.Partials[A].lower();
+    N.PartialHi[A] = E.Partials[A].upper();
+  }
+}
+
+std::string describeNode(NodeId Id, OpKind Kind) {
   std::ostringstream OS;
   OS << "u" << Id;
-  const size_t I = static_cast<size_t>(Id);
-  if (Id >= 0 && I < Raw.Nodes.size() &&
-      static_cast<size_t>(Raw.Nodes[I].Kind) < NumOpKinds)
-    OS << " (" << opKindName(Raw.Nodes[I].Kind) << ")";
+  if (static_cast<size_t>(Kind) < NumOpKinds)
+    OS << " (" << opKindName(Kind) << ")";
   return OS.str();
 }
 
@@ -50,12 +47,15 @@ bool boundsMalformed(double Lo, double Hi) {
   return std::isnan(Lo) || std::isnan(Hi) || Lo > Hi;
 }
 
-} // namespace
-
-VerifyReport verify::verifyStructure(const RawTape &Raw,
-                                     const VerifierOptions &Options) {
+/// The structural rules (E001-E007) over \p N nodes, node I read as
+/// NodeAt(I) — a RawTape's stored node, or one built on the fly from a
+/// tape's arrays so in-process verification copies no mirror.
+template <typename NodeAtFn>
+VerifyReport checkStructure(size_t N, NodeAtFn NodeAt,
+                            std::span<const NodeId> Inputs,
+                            std::span<const NodeId> Outputs,
+                            const VerifierOptions &Options) {
   VerifyReport Report(Options.MaxFindingsPerRule);
-  const size_t N = Raw.Nodes.size();
   auto Flag = [&](RuleKind K, NodeId Node, int Arg, std::string Msg) {
     Finding F;
     F.Kind = K;
@@ -66,7 +66,7 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
   };
 
   for (size_t I = 0; I != N; ++I) {
-    const RawNode &Node = Raw.Nodes[I];
+    const RawNode &Node = NodeAt(I);
     const NodeId Id = static_cast<NodeId>(I);
 
     // Arity consistency (E003).  An unrecognized kind byte cannot be
@@ -85,7 +85,7 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
                        (Arity != 0 && Node.NumArgs == 0);
       if (Bad) {
         std::ostringstream OS;
-        OS << describeNode(Raw, Id) << " records "
+        OS << describeNode(Id, Node.Kind) << " records "
            << static_cast<int>(Node.NumArgs) << " edges; "
            << opKindName(Node.Kind) << " admits "
            << (Arity == 2 ? "1-2" : std::to_string(Arity));
@@ -96,7 +96,7 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
     // Value enclosure well-formed (E005).
     if (boundsMalformed(Node.ValueLo, Node.ValueHi)) {
       std::ostringstream OS;
-      OS << describeNode(Raw, Id) << " value bounds [" << Node.ValueLo
+      OS << describeNode(Id, Node.Kind) << " value bounds [" << Node.ValueLo
          << ", " << Node.ValueHi << "] are not a valid interval";
       Flag(RuleKind::MalformedValue, Id, -1, OS.str());
     }
@@ -106,19 +106,19 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
       const NodeId Arg = Node.Args[A];
       if (Arg < 0 || static_cast<size_t>(Arg) >= N) {
         std::ostringstream OS;
-        OS << describeNode(Raw, Id) << " argument " << A << " id " << Arg
-           << " does not name a recorded node";
+        OS << describeNode(Id, Node.Kind) << " argument " << A << " id "
+           << Arg << " does not name a recorded node";
         Flag(RuleKind::DanglingArgument, Id, static_cast<int>(A), OS.str());
       } else if (Arg >= Id) {
         std::ostringstream OS;
-        OS << describeNode(Raw, Id) << " argument " << A << " id " << Arg
-           << " is not topologically earlier";
+        OS << describeNode(Id, Node.Kind) << " argument " << A << " id "
+           << Arg << " is not topologically earlier";
         Flag(RuleKind::NonTopologicalArgument, Id, static_cast<int>(A),
              OS.str());
       }
       if (boundsMalformed(Node.PartialLo[A], Node.PartialHi[A])) {
         std::ostringstream OS;
-        OS << describeNode(Raw, Id) << " partial " << A << " bounds ["
+        OS << describeNode(Id, Node.Kind) << " partial " << A << " bounds ["
            << Node.PartialLo[A] << ", " << Node.PartialHi[A]
            << "] are not a valid interval";
         Flag(RuleKind::MalformedPartial, Id, static_cast<int>(A), OS.str());
@@ -127,21 +127,22 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
   }
 
   // Registered inputs must exist and be Input operations (E006).
-  for (NodeId In : Raw.Inputs) {
+  for (NodeId In : Inputs) {
     if (In < 0 || static_cast<size_t>(In) >= N) {
       std::ostringstream OS;
       OS << "input list entry " << In << " does not name a recorded node";
       Flag(RuleKind::InputKindMismatch, In, -1, OS.str());
-    } else if (Raw.Nodes[static_cast<size_t>(In)].Kind != OpKind::Input) {
+    } else if (const OpKind Kind = NodeAt(static_cast<size_t>(In)).Kind;
+               Kind != OpKind::Input) {
       std::ostringstream OS;
-      OS << "input list entry " << describeNode(Raw, In)
+      OS << "input list entry " << describeNode(In, Kind)
          << " is not an Input operation";
       Flag(RuleKind::InputKindMismatch, In, -1, OS.str());
     }
   }
 
   // Registered outputs must exist (E007).
-  for (NodeId Out : Raw.Outputs) {
+  for (NodeId Out : Outputs) {
     if (Out < 0 || static_cast<size_t>(Out) >= N) {
       std::ostringstream OS;
       OS << "output list entry " << Out << " does not name a recorded node";
@@ -150,6 +151,29 @@ VerifyReport verify::verifyStructure(const RawTape &Raw,
   }
 
   return Report;
+}
+
+} // namespace
+
+RawTape verify::extractRaw(const Tape &T, std::span<const NodeId> Outputs) {
+  const std::span<const TapeOp> Ops = T.ops();
+  const std::span<const TapeEdges> Edges = T.edges();
+  const std::span<const Interval> Values = T.values();
+  RawTape Raw;
+  Raw.Nodes.resize(T.size());
+  for (size_t I = 0; I != Raw.Nodes.size(); ++I)
+    fillRawNode(Raw.Nodes[I], Ops, Edges, Values, I);
+  Raw.Inputs = T.inputs();
+  Raw.Outputs.assign(Outputs.begin(), Outputs.end());
+  return Raw;
+}
+
+VerifyReport verify::verifyStructure(const RawTape &Raw,
+                                     const VerifierOptions &Options) {
+  return checkStructure(
+      Raw.Nodes.size(),
+      [&](size_t I) -> const RawNode & { return Raw.Nodes[I]; }, Raw.Inputs,
+      Raw.Outputs, Options);
 }
 
 namespace {
@@ -188,7 +212,8 @@ void crossCheckBatchSweep(const Tape &T, std::span<const NodeId> Outputs,
         const unsigned Lane = static_cast<unsigned>(O - Begin);
         for (size_t I = 0; I != T.size(); ++I) {
           const NodeId Id = static_cast<NodeId>(I);
-          if (bitEqual(Lanes.at(Id, Lane), ScalarLanes.at(Id, Lane)))
+          if (bitEqual(std::as_const(Lanes).at(Id, Lane),
+                       std::as_const(ScalarLanes).at(Id, Lane)))
             continue;
           std::ostringstream OS;
           OS << "adjoint of u" << Id << " for output u" << Outputs[O]
@@ -205,7 +230,7 @@ void crossCheckBatchSweep(const Tape &T, std::span<const NodeId> Outputs,
     }
     // Testing seam (see VerifierOptions::TestLaneAdjointBitFlip).
     auto LaneAdjoint = [&](NodeId Id, unsigned Lane) {
-      Interval A = Lanes.at(Id, Lane);
+      Interval A = std::as_const(Lanes).at(Id, Lane);
       if (Options.TestLaneAdjointBitFlip == 0)
         return A;
       double Lo = A.lower();
@@ -223,7 +248,7 @@ void crossCheckBatchSweep(const Tape &T, std::span<const NodeId> Outputs,
       const unsigned Lane = static_cast<unsigned>(O - Begin);
       for (size_t I = 0; I != T.size(); ++I) {
         const NodeId Id = static_cast<NodeId>(I);
-        if (bitEqual(LaneAdjoint(Id, Lane), Single.at(Id, 0)))
+        if (bitEqual(LaneAdjoint(Id, Lane), std::as_const(Single).at(Id, 0)))
           continue;
         std::ostringstream OS;
         OS << "adjoint of u" << Id << " for output u" << Outputs[O]
@@ -244,7 +269,17 @@ void crossCheckBatchSweep(const Tape &T, std::span<const NodeId> Outputs,
 VerifyReport verify::verifyTape(const Tape &T,
                                 std::span<const NodeId> Outputs,
                                 const VerifierOptions &Options) {
-  VerifyReport Report = verifyStructure(extractRaw(T, Outputs), Options);
+  const std::span<const TapeOp> Ops = T.ops();
+  const std::span<const TapeEdges> Edges = T.edges();
+  const std::span<const Interval> Values = T.values();
+  VerifyReport Report = checkStructure(
+      T.size(),
+      [&](size_t I) {
+        RawNode N;
+        fillRawNode(N, Ops, Edges, Values, I);
+        return N;
+      },
+      T.inputs(), Outputs, Options);
   // Replaying sweeps over a structurally broken tape would exercise the
   // very out-of-bounds behavior the structural rules just reported;
   // the cross-check only runs on a well-formed IR.

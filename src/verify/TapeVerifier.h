@@ -96,8 +96,11 @@ struct VerifierOptions {
 VerifyReport verifyStructure(const RawTape &Raw,
                              const VerifierOptions &Options = {});
 
-/// Verifies a recorded tape: structural rules on its raw view plus the
-/// batch-sweep cross-check (E008) on the tape itself.  \p Outputs is
+/// Verifies a recorded tape: the structural rules, with exactly the
+/// findings verifyStructure(extractRaw(T, Outputs)) reports but read
+/// straight from the tape's arrays (no mirror is built), plus the
+/// batch-sweep cross-check (E008) on the tape itself when
+/// Options.CheckBatchSweep is set.  \p Outputs is
 /// the registered output list; the cross-check seeds each output with
 /// [1, 1], exactly as PerOutput analysis does.  Does not modify the
 /// tape's own adjoints.

@@ -3,7 +3,8 @@
 // Counts heap allocations (every global operator new) made while one
 // registry kernel is recorded, while its analyse() runs, and while
 // readStap decodes its compressed shard, on each of the 17 registry
-// kernels, and holds all three below committed ceilings.  Per-shard
+// kernels, and holds all three below committed ceilings; and counts
+// what mergeShards makes over perfbench's 144 Sobel tiles.  Per-shard
 // fixed costs are paid once per task-sized shard, so an allocation that
 // creeps into any stage shows up here first.
 //
@@ -15,8 +16,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/sobel/Sobel.h"
 #include "core/ParallelAnalysis.h"
 #include "kernels/KernelRegistry.h"
+#include "quality/Image.h"
 #include "tape/TapeIO.h"
 
 #include <gtest/gtest.h>
@@ -57,10 +60,24 @@ void *operator new[](size_t Size) { return countedAlloc(Size); }
 void *operator new(size_t Size, std::align_val_t Align) {
   return countedAlignedAlloc(Size, Align);
 }
+// std::stable_sort's buffer comes from the nothrow form; left to the
+// runtime, it would not pair with the free() below under ASan.
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  ++Allocations;
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new[](size_t Size, const std::nothrow_t &) noexcept {
+  ++Allocations;
+  return std::malloc(Size ? Size : 1);
+}
 void *operator new[](size_t Size, std::align_val_t Align) {
   return countedAlignedAlloc(Size, Align);
 }
 void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
 void operator delete[](void *P, size_t) noexcept { std::free(P); }
@@ -185,6 +202,32 @@ TEST(AllocCount, LoadStaysUnderItsCeiling) {
     EXPECT_LE(Got, C.Load) << C.Kernel;
     std::cout << C.Kernel << ": load " << Got << " allocations\n";
   }
+}
+
+TEST(AllocCount, MergeShardsAllocatesPerShardNotPerVariable) {
+  // perfbench's sobel_tiles call: a 48x48 image in 144 4x4 tiles, 132
+  // registered variables per tile.
+  const apps::SobelTileSignificance S =
+      apps::analyseSobelTiles(testimages::scene(48, 48, 7919), 4, 8.0, 1);
+  const std::vector<ShardResult> &Shards = S.Result.shards();
+  ASSERT_EQ(Shards.size(), 144u);
+  size_t Variables = 0;
+  for (const ShardResult &Shard : Shards)
+    Variables += Shard.Result.inputs().size() +
+                 Shard.Result.intermediates().size() +
+                 Shard.Result.outputs().size();
+  std::vector<ShardResult> Copy = Shards;
+  const size_t Before = Allocations;
+  const ParallelAnalysisResult R =
+      ParallelAnalysis::mergeShards(std::move(Copy));
+  const size_t Made = Allocations - Before;
+  ASSERT_EQ(R.shards().size(), Shards.size());
+  // The merge may allocate per shard (prefixed divergences and
+  // findings, the sort buffer) but never per variable: the variable
+  // list is built only when variables() is called.
+  EXPECT_LE(Made, Shards.size());
+  std::cout << "mergeShards: " << Shards.size() << " shards, " << Variables
+            << " variables, " << Made << " allocations\n";
 }
 
 } // namespace

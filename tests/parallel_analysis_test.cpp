@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -149,6 +151,118 @@ TEST(ParallelAnalysis, EmptyShardNameStillPrefixesVariables) {
   EXPECT_EQ(R.find("x"), nullptr);
   ASSERT_EQ(R.variables().size(), 2u);
   EXPECT_EQ(R.variables()[0].Name, "/x");
+}
+
+/// The list mergeShards used to build eagerly: every shard's inputs,
+/// intermediates and outputs in shard order, names prefixed
+/// "<shard>/".  Source[i] is the shard entry Eager[i] was copied from.
+struct EagerVariables {
+  std::vector<VariableSignificance> Eager;
+  std::vector<const VariableSignificance *> Source;
+};
+
+EagerVariables eagerVariables(const ParallelAnalysisResult &R) {
+  EagerVariables E;
+  for (const ShardResult &S : R.shards())
+    for (const auto *List : {&S.Result.inputs(), &S.Result.intermediates(),
+                             &S.Result.outputs()})
+      for (const VariableSignificance &V : *List) {
+        VariableSignificance P = V;
+        P.Name = S.Name + "/" + V.Name;
+        E.Eager.push_back(std::move(P));
+        E.Source.push_back(&V);
+      }
+  return E;
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+void expectVariablesMatchEagerList(const ParallelAnalysisResult &R) {
+  const EagerVariables E = eagerVariables(R);
+  const std::vector<VariableSignificance> Got = R.variables();
+  ASSERT_EQ(Got.size(), E.Eager.size());
+  for (size_t I = 0; I != Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Name, E.Eager[I].Name) << I;
+    EXPECT_EQ(Got[I].Node, E.Eager[I].Node) << I;
+    EXPECT_TRUE(sameBits(Got[I].Value.lower(), E.Eager[I].Value.lower()));
+    EXPECT_TRUE(sameBits(Got[I].Value.upper(), E.Eager[I].Value.upper()));
+    EXPECT_TRUE(sameBits(Got[I].Significance, E.Eager[I].Significance));
+    EXPECT_TRUE(sameBits(Got[I].Normalized, E.Eager[I].Normalized));
+  }
+}
+
+TEST(ParallelAnalysis, VariablesAndFindMatchTheEagerMergedList) {
+  ParallelAnalysis P;
+  // Shard and variable names that contain '/' make one prefixed name
+  // reachable from several shards ("a/b" + "c" and "a" + "b/c"); the
+  // first shard in shard order must win, as in a scan of the eager
+  // list.  "dup" registers one name in all three lists, and a repeated
+  // shard name is shadowed by its first occurrence.
+  const auto Record = [](std::vector<std::string> In,
+                         std::vector<std::string> Mid,
+                         std::vector<std::string> Out) {
+    return [In, Mid, Out] {
+      Analysis &A = Analysis::current();
+      IAValue Acc = A.input("seed", 1.0, 2.0);
+      for (const std::string &N : In)
+        Acc = Acc * A.input(N, 0.5, 1.5);
+      for (const std::string &N : Mid) {
+        Acc = Acc + 1.0;
+        A.registerIntermediate(Acc, N);
+      }
+      for (const std::string &N : Out) {
+        Acc = Acc * 2.0;
+        A.registerOutput(Acc, N);
+      }
+    };
+  };
+  P.addShard("a/b", Record({"c"}, {"m"}, {"y"}));
+  P.addShard("a", Record({"b/c", "b/m"}, {"//z"}, {"y"}));
+  P.addShard("", Record({"x"}, {""}, {"y"}));
+  P.addShard("dup", Record({"x"}, {"x"}, {"x"}));
+  P.addShard("a/b", Record({"c", "q"}, {}, {"y"}));
+  P.addShard("a/", Record({"/z"}, {}, {"y"}));
+  const ParallelAnalysisResult R = P.run({}, /*NumThreads=*/2);
+  ASSERT_EQ(R.shards().size(), 6u);
+  expectVariablesMatchEagerList(R);
+
+  const EagerVariables E = eagerVariables(R);
+  std::vector<std::string> Queries = {
+      "",      "/",     "a",       "a/",    "a/b",       "a/b/",
+      "a/b/c", "a/b/m", "a/b/q",   "a//z",  "a///z",     "/x",
+      "/",     "//",    "dup/x",   "dup/",  "dup",       "x",
+      "y",     "a/y",   "nosuch/x", "a/b/c/", "seed",    "a/b/seed"};
+  for (const VariableSignificance &V : E.Eager)
+    Queries.push_back(V.Name);
+  for (const std::string &Q : Queries) {
+    const auto It = std::find_if(
+        E.Eager.begin(), E.Eager.end(),
+        [&](const VariableSignificance &V) { return V.Name == Q; });
+    const VariableSignificance *Got = R.find(Q);
+    if (It == E.Eager.end()) {
+      EXPECT_EQ(Got, nullptr) << '"' << Q << '"';
+      continue;
+    }
+    EXPECT_EQ(Got, E.Source[static_cast<size_t>(It - E.Eager.begin())])
+        << '"' << Q << '"';
+  }
+  // The cases above must really shadow: "a/b/c" is reachable from
+  // shards 0, 1 and 4, and shard 0's input wins.
+  EXPECT_EQ(R.find("a/b/c"), &R.shards()[0].Result.inputs()[1]);
+  EXPECT_EQ(R.find("dup/x"), &R.shards()[3].Result.inputs()[1]);
+  EXPECT_EQ(R.find("/"), &R.shards()[2].Result.intermediates()[0]);
+}
+
+TEST(ParallelAnalysis, SobelTileVariablesMatchTheEagerMergedList) {
+  const apps::SobelTileSignificance S =
+      apps::analyseSobelTiles(testimages::scene(12, 12, 7919), 4, 8.0, 2);
+  ASSERT_EQ(S.Result.shards().size(), 9u);
+  expectVariablesMatchEagerList(S.Result);
+  const EagerVariables E = eagerVariables(S.Result);
+  for (size_t I = 0; I < E.Eager.size(); I += 7)
+    EXPECT_EQ(S.Result.find(E.Eager[I].Name), E.Source[I]) << I;
 }
 
 TEST(ParallelAnalysis, TapeSizeHintDoesNotChangeResults) {

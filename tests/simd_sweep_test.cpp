@@ -11,23 +11,30 @@
 // partials — the Auto (SIMD) sweep backend must produce byte-identical
 // adjoints to the forced scalar backend, at every batch width across
 // the vector-body/scalar-tail split, and the batched lanes must match
-// dedicated single-seed sweeps.  Also pins decideFatesBatch to
+// dedicated single-seed sweeps.  Pins the live-row bookkeeping of
+// BatchAdjoints exactly: after each batch the live rows are the seeds'
+// backward cone over non-zero partials, everything else is [0, 0], and
+// a reused matrix matches a fresh one.  Also pins decideFatesBatch to
 // decideFates and the cache-line alignment of the adjoint storage.
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/sobel/Sobel.h"
 #include "core/Analysis.h"
 #include "kernels/KernelRegistry.h"
+#include "quality/Image.h"
 #include "runtime/TaskRuntime.h"
 #include "simd/AlignedAlloc.h"
 #include "tape/Tape.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace {
@@ -188,6 +195,218 @@ TEST(SimdSweep, RandomizedAdversarialTapesBitIdentical) {
         recordAdversarialTape(A, Seed, 400, 9);
     expectBackendsIdentical(A.tape(), Outs,
                             ("adversarial-" + std::to_string(Seed)).c_str());
+  }
+}
+
+/// The rows a batch sweep seeded with \p Seeds must leave live, sorted:
+/// the seeded nodes plus every argument reached backward from them over
+/// edges with a non-zero partial.  A plain BFS over the per-node
+/// accessors, sharing no code with the sweep.
+std::vector<NodeId>
+backwardCone(const Tape &T,
+             std::span<const std::pair<NodeId, Interval>> Seeds) {
+  const Interval Zero(0.0);
+  std::vector<char> Seen(T.size(), 0);
+  std::vector<NodeId> Work;
+  auto Visit = [&](NodeId Id) {
+    if (!Seen[static_cast<size_t>(Id)]) {
+      Seen[static_cast<size_t>(Id)] = 1;
+      Work.push_back(Id);
+    }
+  };
+  for (const auto &S : Seeds)
+    Visit(S.first);
+  std::vector<NodeId> Cone;
+  while (!Work.empty()) {
+    const NodeId Id = Work.back();
+    Work.pop_back();
+    Cone.push_back(Id);
+    for (unsigned A = 0; A != T.numArgs(Id); ++A)
+      if (!(T.partial(Id, A) == Zero))
+        Visit(T.arg(Id, A));
+  }
+  std::sort(Cone.begin(), Cone.end());
+  return Cone;
+}
+
+/// Sweeps \p Outs in batches of each width in turn through one reused
+/// matrix per backend (so every batch starts from the previous batch's
+/// leftovers: same-shape reuse within a width, a reshape between
+/// widths and at a ragged last batch) and checks each batch exactly:
+/// live() is the backward cone, every other row is [0, 0], the reused
+/// matrix equals a fresh one bit for bit, the scalar backend agrees,
+/// and every lane equals a dedicated reverseSweep().
+void expectLiveRowsExact(Tape &T, const std::vector<NodeId> &Outs,
+                         const char *Label) {
+  ASSERT_FALSE(Outs.empty()) << Label;
+  const Interval Zero(0.0);
+  // The last seed list repeats outputs, so two lanes share a seed node.
+  std::vector<std::vector<std::pair<NodeId, Interval>>> Batches;
+  for (unsigned Width : {8u, 3u, 16u, 1u, 8u}) {
+    for (size_t B = 0; B < Outs.size(); B += Width) {
+      const size_t E = std::min(B + Width, Outs.size());
+      Batches.emplace_back();
+      for (size_t O = B; O != E; ++O)
+        Batches.back().emplace_back(Outs[O], Interval(1.0));
+    }
+  }
+  Batches.push_back({{Outs[0], Interval(1.0)},
+                     {Outs.back(), Interval(1.0)},
+                     {Outs[0], Interval(1.0)}});
+
+  BatchAdjoints Reused, ReusedScalar;
+  for (const auto &Seeds : Batches) {
+    const std::span<const std::pair<NodeId, Interval>> S(Seeds);
+    const unsigned W = static_cast<unsigned>(Seeds.size());
+    T.reverseSweepBatch(S, Reused, SweepBackend::Auto);
+    T.reverseSweepBatch(S, ReusedScalar, SweepBackend::Scalar);
+    BatchAdjoints Fresh;
+    T.reverseSweepBatch(S, Fresh, SweepBackend::Auto);
+
+    const std::vector<NodeId> Cone = backwardCone(T, S);
+    for (const BatchAdjoints *M : {&Reused, &ReusedScalar, &Fresh}) {
+      std::vector<NodeId> Live(M->live().begin(), M->live().end());
+      std::sort(Live.begin(), Live.end());
+      ASSERT_EQ(Live, Cone) << Label << ": live rows of a width-" << W
+                            << " batch seeded at u" << Seeds[0].first;
+    }
+    for (size_t I = 0; I != T.size(); ++I) {
+      const NodeId Id = static_cast<NodeId>(I);
+      ASSERT_EQ(Reused.isLive(Id),
+                std::binary_search(Cone.begin(), Cone.end(), Id))
+          << Label << ": u" << I;
+      for (unsigned L = 0; L != W; ++L) {
+        const Interval &A = std::as_const(Reused).at(Id, L);
+        if (!Reused.isLive(Id)) {
+          ASSERT_TRUE(bitEqual(A, Zero))
+              << Label << ": non-live row u" << I << " lane " << L;
+        }
+        ASSERT_TRUE(bitEqual(A, std::as_const(Fresh).at(Id, L)))
+            << Label << ": reused vs fresh, u" << I << " lane " << L;
+        ASSERT_TRUE(bitEqual(A, std::as_const(ReusedScalar).at(Id, L)))
+            << Label << ": Auto vs Scalar, u" << I << " lane " << L;
+      }
+    }
+    for (unsigned L = 0; L != W; ++L) {
+      T.clearAdjoints();
+      T.seedAdjoint(Seeds[L].first, Seeds[L].second);
+      T.reverseSweep();
+      for (size_t I = 0; I != T.size(); ++I) {
+        const NodeId Id = static_cast<NodeId>(I);
+        ASSERT_TRUE(bitEqual(std::as_const(Reused).at(Id, L), T.adjoint(Id)))
+            << Label << ": lane " << L << " vs dedicated sweep, u" << I;
+      }
+    }
+  }
+}
+
+TEST(SimdSweep, LiveRowsAreExactlyTheSeedConeOnSobelTiles) {
+  const Image In = testimages::scene(12, 12, 7919);
+  for (int Y0 : {0, 4, 8})
+    for (int X0 : {0, 8}) {
+      Analysis A;
+      apps::recordSobelTile(In, X0, Y0, X0 + 4, Y0 + 4);
+      ASSERT_EQ(A.outputNodes().size(), 32u);
+      expectLiveRowsExact(A.tape(), A.outputNodes(),
+                          ("sobel tile " + std::to_string(X0) + "," +
+                           std::to_string(Y0))
+                              .c_str());
+    }
+}
+
+TEST(SimdSweep, LiveRowsAreExactlyTheSeedConeOnRandomTapes) {
+  for (uint64_t Seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    Analysis A;
+    const std::vector<NodeId> Outs = recordAdversarialTape(A, Seed, 300, 17);
+    expectLiveRowsExact(A.tape(), Outs,
+                        ("adversarial-" + std::to_string(Seed)).c_str());
+  }
+}
+
+TEST(SimdSweep, ResizeToANewShapeClearsEveryRow) {
+  BatchAdjoints M(4, 2);
+  M.at(1, 0) = Interval(1.0, 2.0);
+  M.row(3)[1] = Interval(-1.0);
+  EXPECT_EQ(M.live().size(), 2u);
+  EXPECT_TRUE(M.isLive(1));
+  EXPECT_FALSE(M.isLive(2));
+  M.resize(4, 2);
+  EXPECT_TRUE(M.live().empty());
+  EXPECT_TRUE(bitEqual(std::as_const(M).at(1, 0), Interval(0.0)));
+  EXPECT_TRUE(bitEqual(std::as_const(M).at(3, 1), Interval(0.0)));
+  M.at(2, 1) = Interval(5.0);
+  M.resize(2, 4);
+  EXPECT_TRUE(M.live().empty());
+  for (NodeId Id = 0; Id != 2; ++Id)
+    for (unsigned L = 0; L != 4; ++L)
+      EXPECT_TRUE(bitEqual(std::as_const(M).at(Id, L), Interval(0.0)));
+}
+
+/// A kernel with an unbounded intermediate outside most outputs' cones,
+/// and an unbounded dead branch outside every cone: under
+/// WidthTimesDerivative their [0, 0] lanes still cost NaN -> cap, so the
+/// batched accumulation must visit them even where they are not live.
+/// Returns the outputs; \p Dead receives the dead branch's last node.
+std::vector<NodeId> recordUnboundedSideBranch(Analysis &A, NodeId &Dead) {
+  IAValue X = A.input("x", -1.0, 2.0);
+  IAValue C = A.input("c", -1e200, 1e200);
+  IAValue U = C * 1e300 * 1e300; // [-inf, inf]
+  A.registerIntermediate(U, "u");
+  IAValue D = A.input("d", -1e200, 1e200) * 1e300; // [-inf, inf]
+  A.registerIntermediate(D, "dead");
+  Dead = D.node();
+  std::vector<NodeId> Outs;
+  for (int O = 0; O != 7; ++O) {
+    IAValue Y = O == 2 ? U + X : X * (O + 1.0) + 0.5;
+    A.registerOutput(Y, "y" + std::to_string(O));
+    Outs.push_back(Y.node());
+  }
+  return Outs;
+}
+
+TEST(SimdSweep, UnboundedNodeOutsideTheConeMatchesBatchWidthOne) {
+  for (AnalysisBackend Backend :
+       {AnalysisBackend::Significance, AnalysisBackend::FpError}) {
+    for (auto Metric : {AnalysisOptions::Metric::WidthTimesDerivative,
+                        AnalysisOptions::Metric::Eq11WorstCase}) {
+      AnalysisOptions O;
+      O.Mode = AnalysisOptions::OutputMode::PerOutput;
+      O.Backend = Backend;
+      O.SignificanceMetric = Metric;
+      O.BatchWidth = 1;
+      O.BuildGraph = false;
+      Analysis Ref;
+      NodeId Dead = -1;
+      recordUnboundedSideBranch(Ref, Dead);
+      const AnalysisResult R1 = Ref.analyse(O);
+      ASSERT_FALSE(Ref.tape().values()[2].isBounded());
+      ASSERT_FALSE(Ref.tape().value(Dead).isBounded());
+      // The dead node is in no output's cone, so its significance is
+      // all NaN -> cap under WidthTimesDerivative and 0 under Eq. 11.
+      if (Backend == AnalysisBackend::Significance) {
+        EXPECT_EQ(R1.nodeSignificances()[static_cast<size_t>(Dead)],
+                  Metric == AnalysisOptions::Metric::WidthTimesDerivative
+                      ? O.SignificanceCap
+                      : 0.0);
+      }
+      for (unsigned W : {2u, 3u, 8u}) {
+        O.BatchWidth = W;
+        Analysis A;
+        recordUnboundedSideBranch(A, Dead);
+        const AnalysisResult RW = A.analyse(O);
+        ASSERT_EQ(RW.nodeSignificances().size(),
+                  R1.nodeSignificances().size());
+        for (size_t I = 0; I != R1.nodeSignificances().size(); ++I)
+          EXPECT_EQ(std::memcmp(&RW.nodeSignificances()[I],
+                                &R1.nodeSignificances()[I], sizeof(double)),
+                    0)
+              << "width " << W << " node u" << I;
+        const double TotW = RW.outputSignificance();
+        const double Tot1 = R1.outputSignificance();
+        EXPECT_EQ(std::memcmp(&TotW, &Tot1, sizeof(double)), 0)
+            << "width " << W;
+      }
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace scorpio;
@@ -200,6 +201,111 @@ TEST(TapeVerifier, RecordedTapeRoundTripsThroughExtractRaw) {
   ASSERT_EQ(Raw.Outputs.size(), 1u);
   EXPECT_EQ(Raw.Outputs[0], Z.node());
   EXPECT_EQ(verifyStructure(Raw).findings().size(), 0u);
+}
+
+TEST(TapeVerifier, ExtractRawMatchesThePerNodeAccessorsBitForBit) {
+  // extractRaw reads the SoA spans; the mirror it builds must be the
+  // one the checked per-node accessors describe, byte for byte.
+  for (const std::string &Name : KernelRegistry::global().names()) {
+    const KernelDescriptor *K = KernelRegistry::global().find(Name);
+    Analysis A;
+    K->Analyse(A, K->DefaultRanges);
+    const Tape &T = A.tape();
+    const RawTape Raw = extractRaw(T, A.outputNodes());
+    ASSERT_EQ(Raw.Nodes.size(), T.size()) << Name;
+    for (size_t I = 0; I != T.size(); ++I) {
+      const NodeId Id = static_cast<NodeId>(I);
+      RawNode Want;
+      Want.Kind = T.kind(Id);
+      Want.AuxInt = T.auxInt(Id);
+      Want.ValueLo = T.value(Id).lower();
+      Want.ValueHi = T.value(Id).upper();
+      Want.NumArgs = static_cast<uint8_t>(T.numArgs(Id));
+      for (unsigned Arg = 0; Arg != Want.NumArgs; ++Arg) {
+        Want.Args[Arg] = T.arg(Id, Arg);
+        Want.PartialLo[Arg] = T.partial(Id, Arg).lower();
+        Want.PartialHi[Arg] = T.partial(Id, Arg).upper();
+      }
+      const RawNode &Got = Raw.Nodes[I];
+      EXPECT_EQ(Got.Kind, Want.Kind) << Name << " u" << I;
+      EXPECT_EQ(Got.AuxInt, Want.AuxInt) << Name << " u" << I;
+      EXPECT_EQ(Got.NumArgs, Want.NumArgs) << Name << " u" << I;
+      EXPECT_EQ(std::memcmp(&Got.ValueLo, &Want.ValueLo, sizeof(double)), 0)
+          << Name << " u" << I;
+      EXPECT_EQ(std::memcmp(&Got.ValueHi, &Want.ValueHi, sizeof(double)), 0)
+          << Name << " u" << I;
+      EXPECT_EQ(std::memcmp(Got.Args, Want.Args, sizeof(Want.Args)), 0)
+          << Name << " u" << I;
+      EXPECT_EQ(std::memcmp(Got.PartialLo, Want.PartialLo,
+                            sizeof(Want.PartialLo)),
+                0)
+          << Name << " u" << I;
+      EXPECT_EQ(std::memcmp(Got.PartialHi, Want.PartialHi,
+                            sizeof(Want.PartialHi)),
+                0)
+          << Name << " u" << I;
+    }
+    EXPECT_EQ(Raw.Inputs, T.inputs()) << Name;
+    EXPECT_EQ(Raw.Outputs, A.outputNodes()) << Name;
+  }
+}
+
+void expectSameFindings(const VerifyReport &Got, const VerifyReport &Want,
+                        const std::string &Label) {
+  ASSERT_EQ(Got.findings().size(), Want.findings().size()) << Label;
+  for (size_t I = 0; I != Want.findings().size(); ++I) {
+    const Finding &G = Got.findings()[I], &W = Want.findings()[I];
+    EXPECT_EQ(G.Kind, W.Kind) << Label << " #" << I;
+    EXPECT_EQ(G.Node, W.Node) << Label << " #" << I;
+    EXPECT_EQ(G.ArgIndex, W.ArgIndex) << Label << " #" << I;
+    EXPECT_EQ(G.Message, W.Message) << Label << " #" << I;
+  }
+}
+
+TEST(TapeVerifier, VerifyTapeReportsWhatTheRawMirrorReports) {
+  // verifyTape reads the structural rules' input straight from the
+  // tape; its findings must be the ones the extractRaw mirror yields.
+  VerifierOptions NoSweep;
+  NoSweep.CheckBatchSweep = false;
+  for (const std::string &Name : KernelRegistry::global().names()) {
+    const KernelDescriptor *K = KernelRegistry::global().find(Name);
+    Analysis A;
+    K->Analyse(A, K->DefaultRanges);
+    const Tape &T = A.tape();
+    std::vector<NodeId> Outs = A.outputNodes();
+    expectSameFindings(verifyTape(T, Outs, NoSweep),
+                       verifyStructure(extractRaw(T, Outs), NoSweep), Name);
+    Outs.push_back(-1);
+    Outs.push_back(static_cast<NodeId>(T.size()));
+    const VerifyReport Bad = verifyTape(T, Outs, NoSweep);
+    EXPECT_EQ(Bad.countOf(RuleKind::InvalidOutput), 2u) << Name;
+    expectSameFindings(Bad, verifyStructure(extractRaw(T, Outs), NoSweep),
+                       Name + " with bad outputs");
+  }
+
+  // Arity defects survive Tape::adopt, so a tape can carry them too: a
+  // unary node stripped of its edge and an Input given one.
+  Analysis A;
+  IAValue X = A.input("x", 1.0, 2.0);
+  IAValue Y = A.input("y", 3.0, 4.0);
+  A.registerOutput(sqrt(X) + Y, "out");
+  const Tape &Rec = A.tape();
+  std::vector<TapeEdges> Edges(Rec.edges().begin(), Rec.edges().end());
+  const NodeId Sqrt = Rec.arg(A.outputNodes()[0], 0);
+  ASSERT_EQ(Rec.kind(Sqrt), OpKind::Sqrt);
+  Edges[static_cast<size_t>(Sqrt)].NumArgs = 0;
+  Edges[static_cast<size_t>(Y.node())].NumArgs = 1;
+  Edges[static_cast<size_t>(Y.node())].Args[0] = X.node();
+  diag::Expected<Tape> Broken = Tape::adopt(
+      std::vector<Interval>(Rec.values().begin(), Rec.values().end()),
+      std::vector<TapeOp>(Rec.ops().begin(), Rec.ops().end()),
+      std::move(Edges), Rec.inputs(), {});
+  ASSERT_TRUE(Broken.hasValue()) << Broken.status().message();
+  const VerifyReport R = verifyTape(Broken.value(), A.outputNodes(), NoSweep);
+  EXPECT_EQ(R.countOf(RuleKind::ArityMismatch), 2u);
+  expectSameFindings(
+      R, verifyStructure(extractRaw(Broken.value(), A.outputNodes()), NoSweep),
+      "adopted tape with arity defects");
 }
 
 TEST(TapeVerifier, VerifyTapeCleanOnRealRecordingWithManyOutputs) {
