@@ -84,7 +84,9 @@ Image scorpio::apps::sobelReference(const Image &In) {
 
 Image scorpio::apps::sobelTasks(rt::TaskRuntime &RT, const Image &In,
                                 double Ratio, int BandRows) {
-  assert(BandRows > 0 && "band must contain rows");
+  // A band of no rows would never advance the band loop below.
+  SCORPIO_REQUIRE(BandRows > 0, diag::ErrC::InvalidArgument,
+                  "sobelTasks: BandRows must be positive", Image());
   const int W = In.width(), H = In.height();
   const size_t NumPx = static_cast<size_t>(W) * H;
   // Per-block partial gradients; dropped tasks leave zeros, which is the
@@ -291,7 +293,10 @@ void scorpio::apps::recordSobelTile(const Image &In, int X0, int Y0, int X1,
 SobelTileSignificance scorpio::apps::analyseSobelTiles(
     const Image &In, int TileSize, double HalfWidth, unsigned NumThreads,
     ShardVerification Verify) {
-  assert(TileSize > 0 && "tile must contain pixels");
+  // A tile of no pixels would never advance the tiling loop below.
+  SCORPIO_REQUIRE(TileSize > 0, diag::ErrC::InvalidArgument,
+                  "analyseSobelTiles: TileSize must be positive",
+                  SobelTileSignificance());
   const int W = In.width(), H = In.height();
 
   ParallelAnalysis P;

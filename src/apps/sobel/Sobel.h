@@ -41,7 +41,8 @@ Image sobelReference(const Image &In);
 
 /// Significance-driven task version; \p Ratio is the taskwait knob and
 /// \p BandRows the task granularity (rows per band).  Equals
-/// sobelReference at Ratio == 1.
+/// sobelReference at Ratio == 1.  A non-positive \p BandRows records a
+/// diagnostic and returns the empty image.
 Image sobelTasks(rt::TaskRuntime &RT, const Image &In, double Ratio,
                  int BandRows = 32);
 
@@ -89,7 +90,8 @@ struct SobelTileSignificance {
 /// deterministic in tile order for any \p NumThreads.  \p Verify
 /// forwards to ParallelAnalysis::run(): each tile's sub-tape is
 /// re-verified on its worker and the merged findings land in
-/// Result.verification().
+/// Result.verification().  A non-positive \p TileSize records a
+/// diagnostic and returns an empty result (no shards).
 SobelTileSignificance
 analyseSobelTiles(const Image &In, int TileSize, double HalfWidth = 8.0,
                   unsigned NumThreads = 0,

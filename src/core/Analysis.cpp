@@ -157,8 +157,8 @@ void Analysis::registerInput(IAValue &X, const std::string &Name, double Lo,
   }
   const NodeId Id = Scope.tape().recordInput(Range);
   X = IAValue(Range, Id);
-  Labels.emplace(Id, Name);
   InputVars.emplace_back(Id, Name);
+  RegistrationOrder.push_back(InputList);
 }
 
 std::vector<NodeId> Analysis::registeredInputNodes() const {
@@ -169,16 +169,40 @@ std::vector<NodeId> Analysis::registeredInputNodes() const {
   return Ids;
 }
 
-TapeRegistration Analysis::registration() const {
-  return {OutputNodes, Labels, InputVars, IntermediateVars, OutputVars};
+std::map<NodeId, std::string> Analysis::labels() const {
+  std::map<NodeId, std::string> Labels = AdoptedLabels;
+  const std::vector<std::pair<NodeId, std::string>> *Lists[] = {
+      &InputVars, &IntermediateVars, &OutputVars};
+  std::array<size_t, 3> Next = AdoptedVars;
+  // emplace keeps the first name per node.
+  for (VarList L : RegistrationOrder) {
+    const auto &[Id, Name] = (*Lists[L])[Next[L]++];
+    Labels.emplace(Id, Name);
+  }
+  return Labels;
 }
 
-diag::Status Analysis::adopt(Tape &&T, const TapeRegistration &Reg) {
+TapeRegistration Analysis::registration() const {
+  return {OutputNodes, labels(), InputVars, IntermediateVars, OutputVars};
+}
+
+void Analysis::reset() {
+  Scope.tape().clear();
+  InputVars.clear();
+  IntermediateVars.clear();
+  OutputVars.clear();
+  OutputNodes.clear();
+  RegistrationOrder.clear();
+  AdoptedLabels.clear();
+  AdoptedVars = {};
+}
+
+diag::Status Analysis::adopt(Tape &&T, TapeRegistration Reg) {
   const auto Fail = [](diag::ErrC Code, const char *Msg) {
     return diag::Status::error(Code, Msg);
   };
-  if (!SCORPIO_CHECK(Scope.tape().empty() && Labels.empty() &&
-                         OutputNodes.empty(),
+  if (!SCORPIO_CHECK(Scope.tape().empty() && InputVars.empty() &&
+                         IntermediateVars.empty() && OutputVars.empty(),
                      diag::ErrC::InvalidState,
                      "Analysis::adopt: analysis already holds recorded or "
                      "registered state"))
@@ -204,11 +228,13 @@ diag::Status Analysis::adopt(Tape &&T, const TapeRegistration &Reg) {
                 "Analysis::adopt: registration references nodes outside "
                 "the tape");
   Scope.tape() = std::move(T);
-  Labels = Reg.Labels;
-  InputVars = Reg.InputVars;
-  IntermediateVars = Reg.IntermediateVars;
-  OutputVars = Reg.OutputVars;
-  OutputNodes = Reg.Outputs;
+  AdoptedLabels = std::move(Reg.Labels);
+  InputVars = std::move(Reg.InputVars);
+  IntermediateVars = std::move(Reg.IntermediateVars);
+  OutputVars = std::move(Reg.OutputVars);
+  OutputNodes = std::move(Reg.Outputs);
+  AdoptedVars = {InputVars.size(), IntermediateVars.size(),
+                 OutputVars.size()};
   return diag::Status::ok();
 }
 
@@ -216,8 +242,8 @@ void Analysis::registerIntermediate(const IAValue &Z,
                                     const std::string &Name) {
   if (!Z.isActive())
     return;
-  Labels.emplace(Z.node(), Name);
   IntermediateVars.emplace_back(Z.node(), Name);
+  RegistrationOrder.push_back(IntermediateList);
 }
 
 void Analysis::registerOutput(const IAValue &Y, const std::string &Name) {
@@ -227,9 +253,9 @@ void Analysis::registerOutput(const IAValue &Y, const std::string &Name) {
   SCORPIO_REQUIRE(Y.isActive(), diag::ErrC::InvalidState,
                   "Analysis::registerOutput: output does not depend on "
                   "any registered input");
-  Labels.emplace(Y.node(), Name);
   OutputVars.emplace_back(Y.node(), Name);
   OutputNodes.push_back(Y.node());
+  RegistrationOrder.push_back(OutputList);
 }
 
 AnalysisResult Analysis::analyse(const AnalysisOptions &OptionsIn) {
@@ -336,6 +362,9 @@ AnalysisResult Analysis::analyse(const AnalysisOptions &OptionsIn) {
       Dst.push_back(std::move(V));
     }
   };
+  R.Inputs.reserve(InputVars.size());
+  R.Intermediates.reserve(IntermediateVars.size());
+  R.Outputs.reserve(OutputVars.size());
   FillVars(InputVars, R.Inputs);
   FillVars(IntermediateVars, R.Intermediates);
   FillVars(OutputVars, R.Outputs);
@@ -359,7 +388,7 @@ DynDFG Analysis::graph(const AnalysisResult &R,
                        const AnalysisOptions &Options) const {
   const std::span<const double> Sig = R.nodeSignificances();
   DynDFG G = DynDFG::fromTape(
-      tape(), std::vector<double>(Sig.begin(), Sig.end()), Labels,
+      tape(), std::vector<double>(Sig.begin(), Sig.end()), labels(),
       OutputNodes);
   if (Options.Simplify)
     G.simplify();

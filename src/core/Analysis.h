@@ -28,6 +28,7 @@
 #include "tape/TapeIO.h"
 #include "verify/Verify.h"
 
+#include <array>
 #include <map>
 #include <ostream>
 #include <span>
@@ -265,7 +266,14 @@ private:
 ///
 /// Construction activates a fresh thread-local tape; destruction restores
 /// the previous one.  Exactly one Analysis may be live per thread at a
-/// time (they nest like scopes).
+/// time (they nest like scopes).  reset() empties a session for the next
+/// task but keeps every array's capacity: a driver that analyses many
+/// task-sized pieces (ParallelAnalysis's runners) keeps one Analysis per
+/// thread and records and sweeps each piece without allocating.
+///
+/// Registration stores only the three (node, name) lists and the
+/// outputs; the NodeId -> name map of labels() is derived from them on
+/// demand.
 class Analysis {
 public:
   Analysis();
@@ -302,8 +310,11 @@ public:
   /// Nodes registered via registerInput, in registration order.
   std::vector<NodeId> registeredInputNodes() const;
 
-  /// NodeId -> user-facing name for every registered variable.
-  const std::map<NodeId, std::string> &labels() const { return Labels; }
+  /// NodeId -> user-facing name for every registered variable, built on
+  /// each call: the first registration of a node names it, in
+  /// registration order across inputs, intermediates and outputs.  An
+  /// adopted tape starts from the labels it was loaded with.
+  std::map<NodeId, std::string> labels() const;
 
   /// The paper's ANALYSE(): reverse sweep(s), Eq.-11 significances,
   /// S4 simplification, S5 variance-level detection.
@@ -314,12 +325,20 @@ public:
   TapeRegistration registration() const;
 
   /// Adopts a deserialized tape (e.g. LoadedTape from loadStap) together
-  /// with its registration.  Only valid on a fresh Analysis — nothing
-  /// recorded, nothing registered; analyse() then reproduces the
+  /// with its registration.  Only valid on a fresh or reset Analysis —
+  /// nothing recorded, nothing registered; analyse() then reproduces the
   /// original process's result bit for bit.  Registration node ids must
   /// name nodes of \p T; on any violation the analysis is left unchanged
-  /// and an error Status is returned.
-  diag::Status adopt(Tape &&T, const TapeRegistration &Reg);
+  /// and an error Status is returned.  \p Reg is taken by value: a
+  /// caller that is done with its registration moves it in.
+  diag::Status adopt(Tape &&T, TapeRegistration Reg);
+
+  /// Returns this analysis to the fresh state — no nodes, divergences,
+  /// registrations or outputs — while every array keeps its capacity,
+  /// including the tape's sweep scratch.  Recording and sweeping a task
+  /// no larger than an earlier one then allocates nothing, and gives
+  /// bitwise the result a fresh Analysis gives.
+  void reset();
 
   /// The DynDFG view of \p R, a result of this analysis' analyse(): the
   /// tape's nodes with \p R's significances, this analysis' labels and
@@ -336,12 +355,20 @@ public:
   const Tape &tape() const { return Scope.tape(); }
 
 private:
+  enum VarList : uint8_t { InputList, IntermediateList, OutputList };
+
   ActiveTapeScope Scope;
   Analysis *PreviousCurrent;
-  std::map<NodeId, std::string> Labels;
   std::vector<std::pair<NodeId, std::string>> InputVars, IntermediateVars,
       OutputVars;
   std::vector<NodeId> OutputNodes;
+  /// The list each registration went to, in registration order: labels()
+  /// replays it so the first registration of a node names it.
+  std::vector<VarList> RegistrationOrder;
+  /// An adopted tape's loaded labels, and how many entries of each list
+  /// came with it (RegistrationOrder covers only the later ones).
+  std::map<NodeId, std::string> AdoptedLabels;
+  std::array<size_t, 3> AdoptedVars = {};
 };
 
 } // namespace scorpio

@@ -518,8 +518,8 @@ ShardResult ParallelAnalysis::analyseShardTape(LoadedTape Loaded,
     SR.Index = static_cast<size_t>(Loaded.Meta->ShardIndex);
   }
   Analysis A;
-  const TapeRegistration Reg = std::move(Loaded.Reg);
-  if (diag::Status S = A.adopt(std::move(Loaded.T), Reg); !S.isOk()) {
+  if (diag::Status S = A.adopt(std::move(Loaded.T), std::move(Loaded.Reg));
+      !S.isOk()) {
     SR.Result.Divergences.push_back("transport: " + S.message());
     return SR;
   }
@@ -571,11 +571,15 @@ ParallelAnalysisResult ParallelAnalysis::run(const AnalysisOptions &Options,
   // the current-Analysis pointer are thread-local, so each runner
   // records in complete isolation; a shard's slot is fixed by its
   // registration index, so the merge is independent of scheduling.
+  // Each runner keeps one Analysis and resets it per shard, so its
+  // tape, registration and sweep arrays are allocated once per run,
+  // not once per shard.
   std::atomic<size_t> Next{0};
   rt::ThreadPool::shared(Threads).fanOut(Shards.size(), [&] {
+    Analysis A;
     for (size_t I; (I = Next.fetch_add(1)) < Shards.size();) {
       ShardResult &Slot = Results[I];
-      Analysis A;
+      A.reset();
       recordShard(I, A);
       Slot.Name = Shards[I].Name;
       Slot.Index = I;
@@ -594,8 +598,9 @@ ParallelAnalysis::saveShards(const std::string &Dir,
   WOpts.Compress = Compress;
   std::vector<std::string> Paths;
   Paths.reserve(Shards.size());
+  Analysis A;
   for (size_t I = 0; I != Shards.size(); ++I) {
-    Analysis A;
+    A.reset();
     recordShard(I, A);
     const TapeMeta Meta = makeShardMeta(Shards[I].Name, I, Options);
     std::string Path = Dir + "/" + shardFileName(I);

@@ -259,8 +259,9 @@ struct StreamingMergeStats {
 ///   ParallelAnalysisResult R = P.run(Opts, /*NumThreads=*/0);
 /// \endcode
 ///
-/// Each record function runs with a fresh Analysis active on the worker
-/// thread; it registers inputs/intermediates/outputs exactly as a
+/// Each record function runs with a fresh or reset Analysis active on
+/// the worker thread (each runner keeps one and resets it per shard); it
+/// registers inputs/intermediates/outputs exactly as a
 /// sequential kernel would (via Analysis::current() or the Table-1
 /// macros) and returns.  run() analyses every shard and merges.
 class ParallelAnalysis {
@@ -289,7 +290,7 @@ public:
                              ShardVerification Verify = ShardVerification::Off);
 
   /// The recording half of the cross-process pipeline: records every
-  /// shard serially on the calling thread — each in a fresh Analysis
+  /// shard serially on the calling thread — each in one reset Analysis
   /// with its size hint reserved, exactly as run()'s workers do — and
   /// writes it as the `.stap` v2 file "<Dir>/shard_<index>.stap"
   /// (\p Dir must exist), META-stamped by makeShardMeta with

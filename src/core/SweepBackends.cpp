@@ -90,8 +90,11 @@ public:
         for (size_t I = 0; I != Values.size(); ++I)
           if (!Values[I].isBounded())
             Unbounded.push_back(static_cast<NodeId>(I));
-      std::vector<std::pair<NodeId, Interval>> Seeds;
-      BatchAdjoints Batch;
+      // The tape's scratch: a tape recorded again after clear() sweeps
+      // without allocating.
+      BatchAdjoints &Batch = T.batchScratch().Adjoints;
+      std::vector<std::pair<NodeId, Interval>> &Seeds =
+          T.batchScratch().Seeds;
       for (size_t Begin = 0; Begin < Outputs.size();
            Begin += Options.BatchWidth) {
         const size_t End =
@@ -196,8 +199,9 @@ public:
       }
     } else {
       const Interval Zero(0.0);
-      std::vector<std::pair<NodeId, Interval>> Seeds;
-      BatchAdjoints Batch;
+      BatchAdjoints &Batch = T.batchScratch().Adjoints;
+      std::vector<std::pair<NodeId, Interval>> &Seeds =
+          T.batchScratch().Seeds;
       for (size_t Begin = 0; Begin < Outputs.size();
            Begin += Options.BatchWidth) {
         const size_t End =

@@ -138,6 +138,15 @@ diag::Expected<Tape> Tape::adopt(std::vector<Interval> Values,
   return T;
 }
 
+void Tape::clear() {
+  Values.clear();
+  Ops.clear();
+  Edges.clear();
+  Adjoints.clear();
+  Inputs.clear();
+  Divergences.clear();
+}
+
 void Tape::reserve(size_t ExpectedNodes) {
   Values.reserve(ExpectedNodes);
   Ops.reserve(ExpectedNodes);

@@ -241,6 +241,11 @@ public:
                                     std::vector<NodeId> Inputs,
                                     std::vector<std::string> Divergences);
 
+  /// Drops every node, adjoint, input and divergence but keeps the
+  /// arrays' capacity and the batch scratch, so recording a tape no
+  /// larger than the last one allocates nothing.
+  void clear();
+
   /// Preallocates storage for \p ExpectedNodes nodes.  A pure hint:
   /// recording beyond it simply grows the arrays.  Kernels that know
   /// their op count (apps, sharded drivers) call this to avoid
@@ -389,6 +394,16 @@ public:
                          BatchAdjoints &Out,
                          SweepBackend Backend = SweepBackend::Auto) const;
 
+  /// The PerOutput sweep's working set: its adjoint matrix and its seed
+  /// list.  Owned beside the scalar adjoints so that a tape recorded
+  /// again after clear() sweeps without allocating.  Contents between
+  /// sweeps are unspecified; reverseSweepBatch() resizes the matrix.
+  struct BatchScratch {
+    BatchAdjoints Adjoints;
+    std::vector<std::pair<NodeId, Interval>> Seeds;
+  };
+  BatchScratch &batchScratch() { return Scratch; }
+
   /// Process-wide count of adjoint reverse sweeps executed since process
   /// start (each reverseSweep() call and each reverseSweepBatch() pass
   /// counts once, whatever its lane width).  Monotonic and thread-safe;
@@ -425,6 +440,7 @@ private:
   std::vector<Interval> Adjoints;
   std::vector<NodeId> Inputs;
   std::vector<std::string> Divergences;
+  BatchScratch Scratch;
 };
 
 /// RAII activation of a tape for the current thread.

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/sobel/Sobel.h"
 #include "core/Analysis.h"
 #include "core/MonteCarlo.h"
 #include "core/RangeSweep.h"
@@ -571,6 +572,36 @@ TEST_F(InvalidInputTest, SuggestTasksOnDivergedResultRecoversEmpty) {
   const auto Tasks = suggestTasks(A.graph(R), R);
   EXPECT_TRUE(Tasks.empty());
   EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidState), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Apps: a tiling or banding step of zero would never advance its loop
+//===----------------------------------------------------------------------===//
+
+TEST_F(InvalidInputTest, SobelTilesNonPositiveTileSizeRecoversEmpty) {
+  const Image In = testimages::scene(8, 8, 7919);
+  for (int TileSize : {0, -4}) {
+    const apps::SobelTileSignificance S =
+        apps::analyseSobelTiles(In, TileSize, 8.0, 1);
+    EXPECT_TRUE(S.Result.shards().empty()) << TileSize;
+    EXPECT_EQ(S.A + S.B + S.C, 0.0) << TileSize;
+  }
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 2u);
+  EXPECT_NE(DiagSink::global().last().Message.find("TileSize"),
+            std::string::npos);
+}
+
+TEST_F(InvalidInputTest, SobelTasksNonPositiveBandRowsRecoversEmpty) {
+  const Image In = testimages::scene(8, 8, 7919);
+  rt::TaskRuntime RT(1);
+  for (int BandRows : {0, -1}) {
+    const Image Out = apps::sobelTasks(RT, In, 1.0, BandRows);
+    EXPECT_EQ(Out.width(), 0) << BandRows;
+    EXPECT_EQ(Out.height(), 0) << BandRows;
+  }
+  EXPECT_EQ(DiagSink::global().countOf(ErrC::InvalidArgument), 2u);
+  EXPECT_NE(DiagSink::global().last().Message.find("BandRows"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
